@@ -62,7 +62,6 @@ from .gwdt import (
     MissingDivisorError,
     am_localization_verify,
     aspinwall_morrison_factor,
-    cover_component_contribution,
     dt_from_gw,
     gw_from_dt,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "count_conics",
     "count_curves",
     "count_lines",
-    "cover_component_contribution",
     "dimension_ledger",
     "dt_from_gw",
     "enumerate_partitions",

@@ -7,6 +7,14 @@ which requires the fiber weights there to be pairwise distinct.  When they
 are not, the weight vector is inadmissible and a retry with fresh weights is
 signalled.
 
+A fixed point is one flat record `(subset, levels)`, built only by
+`fixed_points`.  `subset` is the k-subset of ambient coordinates; `levels`
+holds one pair per tower level, bottom up: the fiber weights at the point
+below and the index of the chosen eigenline.  All points over one base point
+share one fiber tuple.  Everything else reads the record: S and Q take their
+weights from `subset`, O(k) and zeta from the top level's eigenline, and the
+tangent weights from `subset` plus each level's fiber.
+
 The integral of a supported integrand is the exact rational sum over fixed
 points of (numerator weights) / (product of tangent weights).  Supported
 numerator atoms are rational constants, sigma_1 (lifted as c1 of the
@@ -24,6 +32,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 
 from . import expr as ex
@@ -38,9 +47,13 @@ from .bundles import (
     TensorLine,
     Trivial,
     WhitneyQuotient,
+    rank,
 )
-from .chow import Grassmannian, ProjBundle, Space
+from .chow import Grassmannian, Space
 from .symfunc import elementary_symmetric, sym_power_roots
+
+# weight vectors tried by bott_integrate before it gives up
+MAX_SEED = 64
 
 
 class WeightCollisionError(RuntimeError):
@@ -65,59 +78,54 @@ def weight_search(seed: int, n: int) -> tuple[int, ...]:
 
 
 def ambient_size(space: Space) -> int:
-    """Number of torus weights needed: the n of the bottom Grassmannian."""
-    while isinstance(space, ProjBundle):
-        space = space.base
-    if not isinstance(space, Grassmannian):
-        raise UnsupportedExpressionError(f"unsupported space {space!r}")
-    return space.n
+    """Number of torus weights needed: the n of the bottom Grassmannian,
+    read off as rank S + rank Q."""
+    return rank(TautSub(), space) + rank(TautQuot(), space)
 
 
 def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
-    """Isolated fixed points: coordinate subsets, extended fiberwise on towers."""
+    """Isolated fixed points as records (subset, levels); see the module notes."""
     if isinstance(space, Grassmannian):
-        from itertools import combinations
-
+        if len(weights) != space.n:
+            raise ValueError(f"need {space.n} weights, got {len(weights)}")
         if len(set(weights)) != len(weights):
             raise WeightCollisionError("ambient weights must be distinct")
-        return [tuple(c) for c in combinations(range(space.n), space.k)]
+        return [(subset, ()) for subset in combinations(range(space.n), space.k)]
     pts = []
-    for bp in fixed_points(space.base, weights):
-        fiber = bundle_weights(space.bundle, space.base, bp, weights)
+    for base_pt in fixed_points(space.base, weights):
+        fiber = tuple(bundle_weights(space.bundle, base_pt, weights))
         if len(set(fiber)) != len(fiber):
             raise WeightCollisionError(
-                f"fiber weights collide at base point {bp!r}: {sorted(fiber)}"
+                f"fiber weights collide at base point {base_pt!r}: {sorted(fiber)}"
             )
-        pts.extend((bp, idx) for idx in range(len(fiber)))
+        subset, levels = base_pt
+        pts.extend((subset, levels + ((fiber, idx),)) for idx in range(len(fiber)))
     return pts
 
 
-def bundle_weights(expr: BundleExpr, space: Space, pt, weights) -> list:
+def bundle_weights(expr: BundleExpr, pt, weights) -> list:
     """Multiset of equivariant weights of a bundle expression at a fixed point."""
+    subset, levels = pt
     if isinstance(expr, TautSub):
-        if isinstance(space, ProjBundle):
-            return bundle_weights(expr, space.base, pt[0], weights)
-        return [weights[a] for a in pt]
+        return [weights[a] for a in subset]
     if isinstance(expr, TautQuot):
-        if isinstance(space, ProjBundle):
-            return bundle_weights(expr, space.base, pt[0], weights)
-        return [weights[b] for b in range(space.n) if b not in pt]
+        return [w for b, w in enumerate(weights) if b not in subset]
     if isinstance(expr, Trivial):
         return [0] * expr.rank
     if isinstance(expr, Dual):
-        return [-w for w in bundle_weights(expr.arg, space, pt, weights)]
+        return [-w for w in bundle_weights(expr.arg, pt, weights)]
     if isinstance(expr, Sym):
-        ws = bundle_weights(expr.arg, space, pt, weights)
+        ws = bundle_weights(expr.arg, pt, weights)
         return [
             sum(m * w for m, w in zip(mono, ws))
             for mono in sym_power_roots(expr.degree, len(ws))
         ]
     if isinstance(expr, TensorLine):
-        (t,) = bundle_weights(expr.line, space, pt, weights)
-        return [w + t for w in bundle_weights(expr.arg, space, pt, weights)]
+        (t,) = bundle_weights(expr.line, pt, weights)
+        return [w + t for w in bundle_weights(expr.arg, pt, weights)]
     if isinstance(expr, WhitneyQuotient):
-        top = Counter(bundle_weights(expr.top, space, pt, weights))
-        sub = Counter(bundle_weights(expr.sub, space, pt, weights))
+        top = Counter(bundle_weights(expr.top, pt, weights))
+        sub = Counter(bundle_weights(expr.sub, pt, weights))
         top.subtract(sub)
         if any(v < 0 for v in top.values()):
             raise UnsupportedExpressionError(
@@ -125,71 +133,59 @@ def bundle_weights(expr: BundleExpr, space: Space, pt, weights) -> list:
             )
         return list(top.elements())
     if isinstance(expr, RelO):
-        if not isinstance(space, ProjBundle):
+        if not levels:
             raise InvalidBundleError("relative O(k) needs a projective bundle")
-        fiber = bundle_weights(space.bundle, space.base, pt[0], weights)
+        fiber, idx = levels[-1]
         # the sub-line has the eigenvalue itself; O(k) is its (-k)-th power
-        return [-expr.twist * fiber[pt[1]]]
+        return [-expr.twist * fiber[idx]]
     raise InvalidBundleError(f"not a bundle expression: {expr!r}")
 
 
-def tangent_weights(space: Space, pt, weights) -> list:
-    if isinstance(space, Grassmannian):
-        inside = set(pt)
-        return [
-            weights[b] - weights[a]
-            for a in pt
-            for b in range(space.n)
-            if b not in inside
-        ]
-    base_pt, idx = pt
-    fiber = bundle_weights(space.bundle, space.base, base_pt, weights)
-    rel = [fiber[m] - fiber[idx] for m in range(len(fiber)) if m != idx]
-    if any(w == 0 for w in rel):
-        raise WeightCollisionError("degenerate fiber tangent weight")
-    return tangent_weights(space.base, base_pt, weights) + rel
+def tangent_weights(pt, weights) -> list:
+    subset, levels = pt
+    quot = [w for b, w in enumerate(weights) if b not in subset]
+    out = [w - weights[a] for a in subset for w in quot]
+    for fiber, idx in levels:
+        out.extend(w - fiber[idx] for m, w in enumerate(fiber) if m != idx)
+    return out
 
 
-def evaluate_at(node: ex.ExprAst, space: Space, pt, weights) -> Fraction:
+def evaluate_at(node: ex.ExprAst, pt, weights) -> Fraction:
     """Equivariant value of an integrand at one fixed point."""
     if isinstance(node, ex.Rational):
         return node.value
     if isinstance(node, ex.Schubert):
-        if isinstance(space, ProjBundle):
-            return evaluate_at(node, space.base, pt[0], weights)
         if node.parts == ():
             return Fraction(1)
         if node.parts == (1,):
-            inside = set(pt)
-            return Fraction(
-                sum(weights[b] for b in range(space.n) if b not in inside)
-            )
+            return Fraction(sum(bundle_weights(TautQuot(), pt, weights)))
         raise UnsupportedExpressionError(
             f"no equivariant lift for sigma_{list(node.parts)}; only sigma_1 is supported"
         )
     if isinstance(node, ex.Zeta):
-        if not isinstance(space, ProjBundle):
+        levels = pt[1]
+        if not levels:
             raise UnsupportedExpressionError("zeta only lives on a projective bundle")
-        fiber = bundle_weights(space.bundle, space.base, pt[0], weights)
-        return Fraction(-fiber[pt[1]])
+        fiber, idx = levels[-1]
+        return Fraction(-fiber[idx])
     if isinstance(node, ex.ChernClass):
-        ws = bundle_weights(node.bundle, space, pt, weights)
+        ws = bundle_weights(node.bundle, pt, weights)
         if node.index > len(ws):
             return Fraction(0)
         return Fraction(elementary_symmetric(ws, node.index))
     if isinstance(node, ex.EulerClass):
-        return Fraction(prod(bundle_weights(node.bundle, space, pt, weights), start=1))
+        return Fraction(prod(bundle_weights(node.bundle, pt, weights), start=1))
     if isinstance(node, ex.Power):
-        return evaluate_at(node.base, space, pt, weights) ** node.exponent
+        return evaluate_at(node.base, pt, weights) ** node.exponent
     if isinstance(node, ex.Product):
         out = Fraction(1)
         for f in node.factors:
-            out *= evaluate_at(f, space, pt, weights)
+            out *= evaluate_at(f, pt, weights)
         return out
     if isinstance(node, ex.Sum):
         out = Fraction(0)
         for t in node.terms:
-            out += evaluate_at(t, space, pt, weights)
+            out += evaluate_at(t, pt, weights)
         return out
     raise TypeError(f"not an integrand expression: {node!r}")
 
@@ -197,10 +193,10 @@ def evaluate_at(node: ex.ExprAst, space: Space, pt, weights) -> Fraction:
 def _integrate_once(space: Space, integrand: ex.ExprAst, weights) -> Fraction:
     total = Fraction(0)
     for pt in fixed_points(space, weights):
-        numerator = evaluate_at(integrand, space, pt, weights)
+        numerator = evaluate_at(integrand, pt, weights)
         if numerator == 0:
             continue
-        total += numerator / prod(tangent_weights(space, pt, weights), start=1)
+        total += numerator / prod(tangent_weights(pt, weights), start=1)
     return total
 
 
@@ -208,21 +204,21 @@ def bott_integrate(
     space: Space,
     integrand: ex.ExprAst,
     weights: tuple[int, ...] | None = None,
-    max_seed: int = 64,
 ) -> Fraction:
     """Localized integral of `integrand` over `space`.
 
     With explicit `weights` a single evaluation runs and a degenerate choice
     raises WeightCollisionError so the caller can retry.  Without weights the
-    seed ladder is walked until two admissible vectors agree; disagreement
-    means the integrand has no well-defined ordinary integral (for instance
-    its degree exceeds the dimension) and is reported as unsupported.
+    seeds below MAX_SEED are walked until two admissible vectors agree;
+    disagreement means the integrand has no well-defined ordinary integral
+    (for instance its degree exceeds the dimension) and is reported as
+    unsupported.
     """
     if weights is not None:
         return _integrate_once(space, integrand, tuple(weights))
     n = ambient_size(space)
     values = []
-    for seed in range(max_seed):
+    for seed in range(MAX_SEED):
         try:
             values.append(_integrate_once(space, integrand, weight_search(seed, n)))
         except WeightCollisionError:
@@ -231,7 +227,7 @@ def bott_integrate(
             break
     if len(values) < 2:
         raise WeightCollisionError(
-            f"no two admissible weight vectors among seeds 0..{max_seed - 1}"
+            f"no two admissible weight vectors among seeds 0..{MAX_SEED - 1}"
         )
     if values[0] != values[1]:
         raise UnsupportedExpressionError(

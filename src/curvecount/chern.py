@@ -116,7 +116,7 @@ def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ..
             powers[key] = arg_cs[i] ** p
         return powers[key]
 
-    for ex, coeff in poly.coeffs.items():
+    for ex, coeff in poly.items():
         deg = sum((i + 1) * e for i, e in enumerate(ex))
         if deg == 0:
             continue

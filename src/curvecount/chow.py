@@ -285,10 +285,6 @@ def reduce_tower(space: ProjBundle, slots) -> ChowElement:
     return ChowElement(space, tuple(slots))
 
 
-def multiply(x: ChowElement, y: ChowElement) -> ChowElement:
-    return x * y
-
-
 def unit(space: Space) -> ChowElement:
     if isinstance(space, Grassmannian):
         return ChowElement(space, {(): Fraction(1)})

@@ -40,8 +40,8 @@ from .bundles import (
     Trivial,
     WhitneyQuotient,
 )
-from .chow import Grassmannian, ProjBundle, Space, SpaceMismatchError
-from .counts import DegreeMismatchError, HypersurfaceProblem
+from .chow import Grassmannian, ProjBundle, Space
+from .counts import HypersurfaceProblem
 
 
 class ExprSyntaxError(ValueError):
@@ -588,15 +588,7 @@ def main(argv=None) -> int:
     except ExprSyntaxError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (
-        SemanticError,
-        InvalidBundleError,
-        SpaceMismatchError,
-        DegreeMismatchError,
-        bott.UnsupportedExpressionError,
-        gwdt.MissingDivisorError,
-        ValueError,
-    ) as err:
+    except (ValueError, gwdt.MissingDivisorError, bott.WeightCollisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

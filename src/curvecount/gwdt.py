@@ -111,12 +111,6 @@ def aspinwall_morrison_factor(d: int) -> Fraction:
     return Fraction(1, d**3)
 
 
-def cover_component_contribution(dt_line: Fraction) -> Fraction:
-    """Degree-2 cover contribution to GW from the line count: the two-fold
-    covers contribute 2 * (1/2^3) * dt_line = dt_line / 4."""
-    return Fraction(dt_line) / 4
-
-
 # -- localization verification of the 1/d^3 factor -------------------------
 
 

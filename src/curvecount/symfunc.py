@@ -14,9 +14,8 @@ writes are harmless.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 Partition = tuple[int, ...]
 
@@ -222,48 +221,20 @@ def elementary_symmetric(values, k: int):
     return e[k]
 
 
-class TruncatedSymPoly:
-    """A symmetric polynomial written in elementary symmetric generators.
-
-    coeffs maps an exponent vector (d_1, ..., d_r) for e_1^d_1 * ... * e_r^d_r
-    to its exact coefficient; deg e_i = i and every stored monomial has total
-    degree at most `truncation`.
-    """
-
-    __slots__ = ("nvars", "truncation", "coeffs")
-
-    def __init__(self, nvars: int, truncation: int, coeffs=None):
-        self.nvars = nvars
-        self.truncation = truncation
-        self.coeffs = {k: v for k, v in dict(coeffs or {}).items() if v != 0}
-
-    def degree_terms(self, k: int) -> dict[tuple[int, ...], Fraction]:
-        return {
-            ex: c
-            for ex, c in self.coeffs.items()
-            if sum((i + 1) * e for i, e in enumerate(ex)) == k
-        }
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSymPoly)
-            and self.nvars == other.nvars
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"TruncatedSymPoly({self.nvars}, {self.truncation}, {self.coeffs!r})"
-
-
-def expand_linear_product(forms, nvars: int, truncation: int) -> TruncatedSymPoly:
+def expand_linear_product(forms, nvars: int, truncation: int) -> dict[tuple[int, ...], int]:
     """Expand prod(1 + sum_j m_j x_j) and rewrite in e_1..e_nvars.
 
     `forms` lists the integer coefficient vectors m over the roots x_1..x_nvars,
-    one per linear factor.  The expansion is truncated in total degree, checked
-    for symmetry under permuting the roots (an asymmetric product means the
-    caller passed a root multiset that is not closed under the symmetric
-    group, which is a bug), and then rewritten greedily: repeatedly subtract
-    the elementary-symmetric monomial whose lex-leading root monomial matches.
+    one per linear factor.  The expansion is truncated in total degree and
+    rewritten greedily: repeatedly subtract the elementary-symmetric monomial
+    whose lex-leading root monomial matches.  Each step removes a symmetric
+    polynomial, so an asymmetric product (a root multiset not closed under
+    the symmetric group, which is a bug in the caller) always reaches a
+    leading exponent that is not a partition and raises ValueError.
+
+    The result maps an exponent vector (d_1, ..., d_nvars), standing for
+    e_1^d_1 * ... * e_nvars^d_nvars, to its nonzero integer coefficient;
+    deg e_i = i and every monomial has total degree at most `truncation`.
     """
     zero_key = (0,) * nvars
     poly: dict[tuple[int, ...], int] = {zero_key: 1}
@@ -281,8 +252,6 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> TruncatedSymPol
                 ex2 = ex[:j] + (ex[j] + 1,) + ex[j + 1 :]
                 new[ex2] = new.get(ex2, 0) + c * mj
         poly = {k: v for k, v in new.items() if v != 0}
-
-    _check_symmetric(poly)
 
     elem = [None] + [
         {
@@ -327,20 +296,5 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> TruncatedSymPol
                 work[ex] = v
             else:
                 work.pop(ex, None)
-    return TruncatedSymPoly(nvars, truncation, result)
+    return result
 
-
-def _check_symmetric(poly: dict[tuple[int, ...], int]) -> None:
-    canon_coeff: dict[tuple[int, ...], int] = {}
-    orbit_seen: dict[tuple[int, ...], int] = {}
-    for ex, c in poly.items():
-        canon = tuple(sorted(ex, reverse=True))
-        if canon in canon_coeff:
-            if canon_coeff[canon] != c:
-                raise ValueError("product of forms is not symmetric in the roots")
-        else:
-            canon_coeff[canon] = c
-        orbit_seen[canon] = orbit_seen.get(canon, 0) + 1
-    for canon, found in orbit_seen.items():
-        if found != len(set(permutations(canon))):
-            raise ValueError("product of forms is not symmetric in the roots")

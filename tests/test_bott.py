@@ -12,7 +12,15 @@ from curvecount.bott import (
     tangent_weights,
     weight_search,
 )
-from curvecount.bundles import Dual, RelO, Sym, TautSub, TensorLine, WhitneyQuotient
+from curvecount.bundles import (
+    Dual,
+    RelO,
+    Sym,
+    TautQuot,
+    TautSub,
+    TensorLine,
+    WhitneyQuotient,
+)
 from curvecount.chow import ProjBundle, grassmannian, integrate
 from curvecount.counts import (
     HypersurfaceProblem,
@@ -40,7 +48,7 @@ def test_weight_search_ladder_and_determinism():
 def test_fixed_points_of_grassmannian():
     pts = fixed_points(GR24, weight_search(0, 4))
     assert len(pts) == comb(4, 2)
-    assert all(len(p) == 2 for p in pts)
+    assert all(len(subset) == 2 and levels == () for subset, levels in pts)
     assert len(fixed_points(GR36, weight_search(1, 6))) == comb(6, 3)
 
 
@@ -112,7 +120,7 @@ def test_above_top_degree_integrand_is_rejected():
 def test_tangent_weight_count_matches_dimension():
     weights = weight_search(1, 6)
     for pt in fixed_points(CONICS, weights):
-        assert len(tangent_weights(CONICS, pt, weights)) == CONICS.dim
+        assert len(tangent_weights(pt, weights)) == CONICS.dim
 
 
 def test_euler_class_localizes_to_weight_products():
@@ -130,3 +138,35 @@ def test_explicit_collision_surfaces_as_error():
             ex.Power(ex.Zeta(), 14),
             weights=weight_search(0, 6),
         )
+
+
+def test_explicit_weights_must_match_the_ambient_space():
+    # Q reads every ambient weight outside the subset, so a spare weight
+    # would enter the answer silently
+    with pytest.raises(ValueError):
+        bott_integrate(GR24, S1_4, weights=(1, 2, 3, 4, 5))
+    with pytest.raises(ValueError):
+        bott_integrate(GR24, S1_4, weights=(1, 2, 3))
+
+
+# conics in P^5 with a point of their plane: the upper bundle S(1) reads
+# the lower level's O(1), so both tower levels of each fixed point are used
+NESTED = ProjBundle(CONICS, TensorLine(TautSub(), RelO(1)))
+
+
+@pytest.mark.parametrize(
+    "integrand, expected",
+    [
+        (ex.Power(ex.Zeta(), 16), -871920),
+        (
+            ex.Product((
+                ex.Power(ex.Zeta(), 14),
+                ex.ChernClass(2, TensorLine(TautQuot(), RelO(-1))),
+            )),
+            -1481382,
+        ),
+    ],
+)
+def test_nested_tower_engines_agree(integrand, expected):
+    assert integrate(ex.evaluate(integrand, NESTED)) == expected
+    assert bott_integrate(NESTED, integrand) == expected

@@ -171,6 +171,13 @@ def test_semantic_error_exit_code(capsys):
     assert code == 3
     code, _, err = _run(capsys, "integrate", "--space", "gr(9,6)", "--expr", "s[1]")
     assert code == 3
+    # a fiber with repeated weights admits no weight vector at all
+    code, _, err = _run(
+        capsys, "integrate", "--space", "pbundle(triv(2),gr(2,4))",
+        "--expr", "zeta^5", "--backend", "both",
+    )
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_count_command(capsys):

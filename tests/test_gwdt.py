@@ -9,7 +9,6 @@ from curvecount.gwdt import (
     MissingDivisorError,
     am_localization_verify,
     aspinwall_morrison_factor,
-    cover_component_contribution,
     cover_graphs,
     dt_from_gw,
     gw_from_dt,
@@ -47,13 +46,17 @@ def test_degree_two_cover_sum():
     gw = gw_from_dt(dt)
     assert gw[1] == 60480
     assert gw[2] == 440899200
-    assert gw[2] == dt[2] + cover_component_contribution(dt[1])
+    lines_only = gw_from_dt(InvariantTable("DT", {1: dt[1], 2: Fraction(0)}))
+    assert gw[2] == dt[2] + lines_only[2]
 
 
 def test_cover_component_contribution():
-    assert cover_component_contribution(Fraction(60480)) == 15120
+    # degree-2 covers of the lines alone contribute dt_line / 4 to GW
+    lines = gw_from_dt(InvariantTable("DT", {1: Fraction(60480), 2: Fraction(0)}))
+    assert lines[2] == 15120
     # two incidence choices times the 1/8 cover factor
-    assert cover_component_contribution(Fraction(1)) == 2 * aspinwall_morrison_factor(2)
+    one_line = gw_from_dt(InvariantTable("DT", {1: Fraction(1), 2: Fraction(0)}))
+    assert one_line[2] == 2 * aspinwall_morrison_factor(2)
 
 
 def test_inversion_roundtrip_explicit():

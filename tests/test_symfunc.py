@@ -146,17 +146,17 @@ def test_expand_linear_product_sym2_rank2():
     # roots a, b give factors (1+2a)(1+a+b)(1+2b)
     # = 1 + 3e_1 + (2e_1^2 + 4e_2) + 4e_1e_2
     out = expand_linear_product(sym_power_roots(2, 2), 2, 3)
-    assert out.coeffs[(1, 0)] == 3
-    assert out.coeffs[(2, 0)] == 2
-    assert out.coeffs[(0, 1)] == 4
-    assert out.coeffs[(1, 1)] == 4
+    assert out[(1, 0)] == 3
+    assert out[(2, 0)] == 2
+    assert out[(0, 1)] == 4
+    assert out[(1, 1)] == 4
 
 
 def test_expand_linear_product_sym3_rank2_top_degree():
     # top degree of (1+3a)(1+2a+b)(1+a+2b)(1+3b) is 9ab(2a^2+5ab+2b^2)
     # = 18 e_1^2 e_2 + 9 e_2^2
     out = expand_linear_product(sym_power_roots(3, 2), 2, 4)
-    top = {e: c for e, c in out.coeffs.items() if sum((i + 1) * m for i, m in enumerate(e)) == 4}
+    top = {e: c for e, c in out.items() if sum((i + 1) * m for i, m in enumerate(e)) == 4}
     assert top == {(2, 1): 18, (0, 2): 9}
 
 
