@@ -8,7 +8,9 @@ Two independent integration backends over the same intersection rings:
 * a fixed-point one, summing torus weights over the finitely many fixed
   points (Bott's residue formula).
 
-Every quantity is an exact :class:`fractions.Fraction`.
+All arithmetic is exact.  Coefficients and fixed-point numerators are plain
+integers, rational only where an integrand carries a p/q scalar, and every
+public result is a :class:`fractions.Fraction`.
 """
 
 from .bott import UnsupportedExpressionError, WeightCollisionError, bott_integrate

@@ -16,8 +16,10 @@ weights from `subset`, O(k) and zeta from the top level's eigenline, and the
 tangent weights from `subset` plus each level's fiber.
 
 The integral of a supported integrand is the exact rational sum over fixed
-points of (numerator weights) / (product of tangent weights).  Supported
-numerator atoms are rational constants, sigma_1 (lifted as c1 of the
+points of (numerator weights) / (product of tangent weights).  Numerators
+are plain integers, rational only when the integrand carries a p/q scalar;
+the quotient at each fixed point is the one place a `Fraction` is formed.
+Supported numerator atoms are rational constants, sigma_1 (lifted as c1 of the
 tautological quotient), zeta (lifted as minus the weight of the chosen
 eigenline), and Chern or Euler factors of bundle expressions.  General
 Schubert classes have no lift here; requesting one is an unsupported
@@ -150,15 +152,15 @@ def tangent_weights(pt, weights) -> list:
     return out
 
 
-def evaluate_at(node: ex.ExprAst, pt, weights) -> Fraction:
+def evaluate_at(node: ex.ExprAst, pt, weights) -> int | Fraction:
     """Equivariant value of an integrand at one fixed point."""
     if isinstance(node, ex.Rational):
         return node.value
     if isinstance(node, ex.Schubert):
         if node.parts == ():
-            return Fraction(1)
+            return 1
         if node.parts == (1,):
-            return Fraction(sum(bundle_weights(TautQuot(), pt, weights)))
+            return sum(bundle_weights(TautQuot(), pt, weights))
         raise UnsupportedExpressionError(
             f"no equivariant lift for sigma_{list(node.parts)}; only sigma_1 is supported"
         )
@@ -167,26 +169,20 @@ def evaluate_at(node: ex.ExprAst, pt, weights) -> Fraction:
         if not levels:
             raise UnsupportedExpressionError("zeta only lives on a projective bundle")
         fiber, idx = levels[-1]
-        return Fraction(-fiber[idx])
+        return -fiber[idx]
     if isinstance(node, ex.ChernClass):
         ws = bundle_weights(node.bundle, pt, weights)
         if node.index > len(ws):
-            return Fraction(0)
-        return Fraction(elementary_symmetric(ws, node.index))
+            return 0
+        return elementary_symmetric(ws, node.index)
     if isinstance(node, ex.EulerClass):
-        return Fraction(prod(bundle_weights(node.bundle, pt, weights), start=1))
+        return prod(bundle_weights(node.bundle, pt, weights))
     if isinstance(node, ex.Power):
         return evaluate_at(node.base, pt, weights) ** node.exponent
     if isinstance(node, ex.Product):
-        out = Fraction(1)
-        for f in node.factors:
-            out *= evaluate_at(f, pt, weights)
-        return out
+        return prod(evaluate_at(f, pt, weights) for f in node.factors)
     if isinstance(node, ex.Sum):
-        out = Fraction(0)
-        for t in node.terms:
-            out += evaluate_at(t, pt, weights)
-        return out
+        return sum(evaluate_at(t, pt, weights) for t in node.terms)
     raise TypeError(f"not an integrand expression: {node!r}")
 
 
@@ -196,7 +192,8 @@ def _integrate_once(space: Space, integrand: ex.ExprAst, weights) -> Fraction:
         numerator = evaluate_at(integrand, pt, weights)
         if numerator == 0:
             continue
-        total += numerator / prod(tangent_weights(pt, weights), start=1)
+        # Fraction first: an int numerator over an int product would be a float
+        total += Fraction(numerator) / prod(tangent_weights(pt, weights))
     return total
 
 
@@ -214,6 +211,19 @@ def bott_integrate(
     (for instance its degree exceeds the dimension) and is reported as
     unsupported.
     """
+    # validate every bundle through rank, as the symbolic engine does before
+    # computing; a malformed bundle's weights fail arbitrarily or not at all
+    stack = [integrand]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ex.ChernClass, ex.EulerClass)):
+            rank(node.bundle, space)
+        elif isinstance(node, ex.Power):
+            stack.append(node.base)
+        elif isinstance(node, ex.Product):
+            stack.extend(node.factors)
+        elif isinstance(node, ex.Sum):
+            stack.extend(node.terms)
     if weights is not None:
         return _integrate_once(space, integrand, tuple(weights))
     n = ambient_size(space)

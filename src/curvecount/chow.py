@@ -1,4 +1,4 @@
-"""Chow rings with exact rational coefficients.
+"""Chow rings with exact coefficients.
 
 Two kinds of spaces are supported: Grassmannians Gr(k, n), whose ring is
 written in the Schubert basis indexed by partitions in the k x (n-k) box, and
@@ -19,6 +19,11 @@ Schubert products use Littlewood-Richardson structure constants; partitions
 leaving the box are dropped, which truncates every element at the dimension
 of the space.  Elements are immutable once built and all operations are pure,
 so values can be shared freely across threads.
+
+Coefficients are plain Python numbers: the ring arithmetic never divides, so
+they stay `int` unless a caller scales by a `Fraction`, which the numeric
+tower then carries along.  `integrate` and `coefficient`, the public results,
+return a `Fraction` either way.
 """
 
 from __future__ import annotations
@@ -101,9 +106,9 @@ class ChowElement:
     """An element of the Chow ring of `space`.
 
     On a Grassmannian, `data` is a dict mapping partitions to nonzero
-    Fractions.  On a projective bundle of rank r, `data` is a tuple of
-    exactly r base elements, the zeta-power coefficients.  Treat instances
-    as immutable.
+    coefficients (`int`, or `Fraction` once a rational scalar enters).  On
+    a projective bundle of rank r, `data` is a tuple of exactly r base
+    elements, the zeta-power coefficients.  Treat instances as immutable.
     """
 
     __slots__ = ("space", "data")
@@ -112,7 +117,7 @@ class ChowElement:
         self.space = space
         if isinstance(space, Grassmannian):
             self.data = {
-                lam: Fraction(c) for lam, c in dict(data).items() if c != 0
+                lam: c for lam, c in dict(data).items() if c != 0
             }
         else:
             slots = tuple(data)
@@ -136,7 +141,7 @@ class ChowElement:
         """Schubert coefficient (Grassmannian elements only)."""
         if not isinstance(self.space, Grassmannian):
             raise SpaceMismatchError("coefficient() needs a Grassmannian element")
-        return self.data.get(symfunc.partition(lam), Fraction(0))
+        return Fraction(self.data.get(symfunc.partition(lam), 0))
 
     def degree_part(self, d: int) -> "ChowElement":
         if isinstance(self.space, Grassmannian):
@@ -164,14 +169,14 @@ class ChowElement:
         if isinstance(self.space, Grassmannian):
             merged = dict(self.data)
             for lam, c in other.data.items():
-                merged[lam] = merged.get(lam, Fraction(0)) + c
+                merged[lam] = merged.get(lam, 0) + c
             return ChowElement(self.space, merged)
         return ChowElement(
             self.space, tuple(a + b for a, b in zip(self.data, other.data))
         )
 
     def __neg__(self) -> "ChowElement":
-        return self._scale(Fraction(-1))
+        return self._scale(-1)
 
     def __sub__(self, other: "ChowElement") -> "ChowElement":
         return self + (-other)
@@ -183,12 +188,12 @@ class ChowElement:
                 return _gr_multiply(self, other)
             return _tower_multiply(self, other)
         if isinstance(other, (int, Fraction)):
-            return self._scale(Fraction(other))
+            return self._scale(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scale(Fraction(other))
+            return self._scale(other)
         return NotImplemented
 
     def __pow__(self, n: int) -> "ChowElement":
@@ -220,7 +225,7 @@ class ChowElement:
 
     # -- helpers ---------------------------------------------------------
 
-    def _scale(self, c: Fraction) -> "ChowElement":
+    def _scale(self, c: int | Fraction) -> "ChowElement":
         if isinstance(self.space, Grassmannian):
             return ChowElement(
                 self.space, {lam: v * c for lam, v in self.data.items()}
@@ -237,12 +242,12 @@ class ChowElement:
 
 def _gr_multiply(x: ChowElement, y: ChowElement) -> ChowElement:
     space = x.space
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, int | Fraction] = {}
     for lam, a in x.data.items():
         for mu, b in y.data.items():
             ab = a * b
             for nu, c in symfunc.schubert_product(lam, mu, space.rows, space.cols):
-                out[nu] = out.get(nu, Fraction(0)) + ab * c
+                out[nu] = out.get(nu, 0) + ab * c
     return ChowElement(space, out)
 
 
@@ -287,7 +292,7 @@ def reduce_tower(space: ProjBundle, slots) -> ChowElement:
 
 def unit(space: Space) -> ChowElement:
     if isinstance(space, Grassmannian):
-        return ChowElement(space, {(): Fraction(1)})
+        return ChowElement(space, {(): 1})
     return pullback(space, unit(space.base))
 
 
@@ -306,7 +311,7 @@ def sigma(space: Space, lam) -> ChowElement:
     if isinstance(space, Grassmannian):
         if not symfunc.fits_box(lam, space.rows, space.cols):
             return zero(space)
-        return ChowElement(space, {lam: Fraction(1)})
+        return ChowElement(space, {lam: 1})
     return pullback(space, sigma(space.base, lam))
 
 
@@ -338,7 +343,7 @@ def integrate(x: ChowElement) -> Fraction:
     """Degree of the top-dimensional part of x; lower terms contribute zero."""
     if isinstance(x.space, Grassmannian):
         top = (x.space.cols,) * x.space.rows
-        return x.data.get(top, Fraction(0))
+        return Fraction(x.data.get(top, 0))
     return integrate(pushforward(x))
 
 

@@ -151,8 +151,8 @@ def _parse_atom(toks: _Tokens) -> ex.ExprAst:
             den = int(dvalue)
             if den == 0:
                 raise SemanticError("denominator must be nonzero")
-            return ex.Rational(Fraction(num, den))
-        return ex.Rational(Fraction(num))
+            return ex.rational(Fraction(num, den))
+        return ex.rational(num)
     if value == "(":
         node = _parse_sum(toks)
         toks.expect(")")
@@ -401,9 +401,12 @@ def _parse_table(text: str, label: str) -> gwdt.InvariantTable:
             raise ExprSyntaxError(f"expected degree=value, found {item!r}", 0)
         deg, _, val = item.partition("=")
         try:
-            values[int(deg)] = Fraction(val)
+            degree, value = int(deg), Fraction(val)
         except (ValueError, ZeroDivisionError) as err:
             raise ExprSyntaxError(f"bad table entry {item!r}: {err}", 0) from err
+        if degree in values:
+            raise SemanticError(f"degree {degree} appears twice in the {label} table")
+        values[degree] = value
     try:
         return gwdt.InvariantTable(label, values)
     except ValueError as err:

@@ -30,7 +30,9 @@ from .symfunc import Partition
 
 @dataclass(frozen=True)
 class Rational:
-    value: Fraction
+    # `int` when integral (build through `rational`), so integer scalars keep
+    # both engines in integer arithmetic
+    value: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,9 @@ ExprAst = Rational | Schubert | Zeta | ChernClass | EulerClass | Power | Product
 
 
 def rational(value) -> Rational:
-    return Rational(Fraction(value))
+    """A scalar node; an integral value is stored as `int`."""
+    q = Fraction(value)
+    return Rational(q.numerator if q.denominator == 1 else q)
 
 
 def evaluate(node: ExprAst, space: Space) -> ChowElement:

@@ -35,6 +35,10 @@ from .bott import weight_search
 class MissingDivisorError(KeyError):
     """A table lookup needs a divisor degree that is not present."""
 
+    def __str__(self) -> str:
+        # KeyError would print the message with its repr quotes
+        return str(self.args[0])
+
 
 @dataclass(frozen=True)
 class InvariantTable:

@@ -118,21 +118,25 @@ def test_integrate_command(capsys):
     assert rep["backend"] == "symbolic"
 
 
-def test_integrate_both_backends_agree(capsys):
+@pytest.mark.parametrize(
+    "space,expr,value",
+    [
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,6))", "zeta^8 * c(3,S)^2",
+                     {"num": "-4", "den": "1"}, id="conic-tower"),
+        pytest.param("gr(2,4)", "1/3*s[1]^4",
+                     {"num": "2", "den": "3"}, id="rational-scalar"),
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,6))", "1/2*zeta^8*c(3,S)^2",
+                     {"num": "-2", "den": "1"}, id="conic-tower-rational-scalar"),
+    ],
+)
+def test_integrate_both_backends_agree(capsys, space, expr, value):
     code, out, _ = _run(
-        capsys,
-        "integrate",
-        "--space",
-        "pbundle(sym(2,dual(S)),gr(3,6))",
-        "--expr",
-        "zeta^8 * c(3,S)^2",
-        "--backend",
-        "both",
-        "--json",
+        capsys, "integrate", "--space", space, "--expr", expr,
+        "--backend", "both", "--json",
     )
     assert code == 0
     rep = json.loads(out)
-    assert rep["value"] == {"num": "-4", "den": "1"}
+    assert rep["value"] == value
     assert rep["checks"][0]["pass"] is True
 
 
@@ -178,6 +182,22 @@ def test_semantic_error_exit_code(capsys):
     )
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["c(1,tensor(S,Q))", "c(1,sym(2,triv(0)))*s[1]^3", "c(1,quot(S,Q))*s[1]^3"],
+)
+def test_localization_validates_bundles_like_symbolic(capsys, expr):
+    errors = []
+    for backend in ("symbolic", "bott"):
+        code, _, err = _run(
+            capsys, "integrate", "--space", "gr(2,4)", "--expr", expr,
+            "--backend", backend,
+        )
+        assert code == 3
+        errors.append(err)
+    assert errors[0] == errors[1]
 
 
 def test_count_command(capsys):
@@ -228,6 +248,10 @@ def test_gwdt_invert(capsys):
 def test_gwdt_missing_divisor_is_semantic(capsys):
     code, _, err = _run(capsys, "gwdt", "--dt", "2=8")
     assert code == 3
+    assert err == "error: DT table has no degree 1\n"
+    code, _, err = _run(capsys, "gwdt", "--dt", "1=5,1=6")
+    assert code == 3
+    assert err == "error: degree 1 appears twice in the DT table\n"
 
 
 def test_am_verify_command(capsys):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import bundles, chow, counts
+from curvecount import bott, bundles, chow, counts
+from curvecount import expr as ex
 from curvecount.counts import (
     DEGENERATE_CONIC_ASSUMPTION,
     DegreeMismatchError,
@@ -11,6 +12,7 @@ from curvecount.counts import (
     conic_space,
     count_conics,
     count_curves,
+    count_integrand,
     count_lines,
     curve_plane_degree,
     dimension_ledger,
@@ -90,6 +92,33 @@ def test_counts_are_integers():
         HypersurfaceProblem(5, 6, 2, 2),
     ):
         assert count_curves(problem).denominator == 1
+
+
+def test_count_integrand_has_integer_coefficients():
+    # no step of the symbolic engine divides, so without a p/q scalar every
+    # coefficient stays an int
+    elt = ex.evaluate(count_integrand(HypersurfaceProblem(5, 6, 2, 2)), conic_space(5))
+    coeffs = [c for slot in elt.data for c in slot.data.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_public_results_are_fractions():
+    # pinned by type: a float would pass every value test, as 2875.0 == 2875
+    gr = chow.grassmannian(2, 4)
+    s1 = chow.sigma(gr, (1,))
+    sigma1 = ex.Schubert((1,))
+    results = [
+        chow.integrate(s1**4),
+        chow.integrate(s1),
+        (s1**2).coefficient((2,)),
+        (s1**2).coefficient((2, 2)),
+        bott.bott_integrate(gr, ex.Power(sigma1, 4)),
+        bott.bott_integrate(gr, sigma1),
+        count_curves(HypersurfaceProblem(3, 3, 1), "symbolic"),
+        count_curves(HypersurfaceProblem(3, 3, 1), "bott"),
+    ]
+    assert results == [2, 0, 1, 0, 2, 0, 27, 27]
+    assert all(type(v) is Fraction for v in results)
 
 
 def test_count_helpers_check_curve_degree():
