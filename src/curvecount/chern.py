@@ -6,8 +6,9 @@ Evaluation rules:
   c_i(Q) = sigma_{(i)};
 - duals flip the sign of odd classes;
 - symmetric powers go through Chern roots: the product of the root linear
-  forms is expanded and rewritten in elementary symmetric generators, which
-  are then substituted by the Chern classes of the argument;
+  forms is expanded in the Schur basis (`symfunc.expand_linear_product`),
+  and each s_lam of the argument is built by the Pieri rule from the
+  complete classes h_j = (-1)^j s_j, s_j its Segre classes;
 - twists by a line bundle use c_k(E ox L) =
   sum_i binom(rank E - i, k - i) c_i(E) c1(L)^(k-i);
 - quotients divide total Chern classes as truncated power series;
@@ -101,30 +102,30 @@ def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowEleme
 
 def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
     ra = bundles.rank(arg, space)
-    rk = comb(ra + d - 1, d)
-    arg_cs = chern_classes(arg, space)
-    poly = symfunc.expand_linear_product(
+    coeffs = symfunc.expand_linear_product(
         symfunc.sym_power_roots(d, ra), ra, space.dim
     )
-    out = [chow.zero(space) for _ in range(rk + 1)]
-    out[0] = chow.unit(space)
-    powers: dict[tuple[int, int], ChowElement] = {}
+    # the Pieri recursion below reads h_j only for j <= |lam|, lam in coeffs
+    top = max(map(symfunc.weight, coeffs))
+    h = [(-1) ** j * sj for j, sj in enumerate(segre_classes(arg, space, top))]
+    schur = {symfunc.partition([j]): hj for j, hj in enumerate(h)}
 
-    def power(i: int, p: int) -> ChowElement:
-        key = (i, p)
-        if key not in powers:
-            powers[key] = arg_cs[i] ** p
-        return powers[key]
+    def s(lam: symfunc.Partition) -> ChowElement:
+        # Pieri: h_last * s_head is s_lam plus s_nu for the other strips nu,
+        # each of which has a shorter last row
+        if lam not in schur:
+            head, last = lam[:-1], lam[-1]
+            acc = h[last] * s(head)
+            for nu in symfunc.pieri_multiply(head, last, (len(lam), space.dim)):
+                if nu != lam:
+                    acc = acc - s(nu)
+            schur[lam] = acc
+        return schur[lam]
 
-    for ex, coeff in poly.items():
-        deg = sum((i + 1) * e for i, e in enumerate(ex))
-        if deg == 0:
-            continue
-        term = chow.unit(space)
-        for i, e in enumerate(ex):
-            if e:
-                term = term * power(i + 1, e)
-        out[deg] = out[deg] + coeff * term
+    out = [chow.zero(space) for _ in range(comb(ra + d - 1, d) + 1)]
+    for lam, c in coeffs.items():
+        w = symfunc.weight(lam)
+        out[w] = out[w] + c * s(lam)
     return tuple(out)
 
 

@@ -4,8 +4,8 @@ Partitions are plain tuples of weakly decreasing positive integers with
 trailing zeros trimmed; the empty tuple is the empty partition.  This module
 provides the combinatorial layer everything else is built on: box-bounded
 partition enumeration, the Pieri rule, Littlewood-Richardson numbers by skew
-tableau enumeration, and rewriting of products of linear forms in Chern roots
-into elementary symmetric generators.
+tableau enumeration, and the Schur expansion of products of linear forms in
+Chern roots.
 
 All functions are pure.  The caches only ever store values that any caller
 would recompute identically, so concurrent readers and redundant concurrent
@@ -15,7 +15,7 @@ writes are harmless.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import permutations
 
 Partition = tuple[int, ...]
 
@@ -48,12 +48,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(outer[i] >= inner[i] for i in range(len(inner)))
 
 
-def conjugate(lam: Partition) -> Partition:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
-
-
 def box_complement(lam: Partition, rows: int, cols: int) -> Partition:
     """Complement of lam in the rows x cols box, read back to front.
 
@@ -66,21 +60,23 @@ def box_complement(lam: Partition, rows: int, cols: int) -> Partition:
     return partition(cols - padded[rows - 1 - i] for i in range(rows))
 
 
+def _partitions(rows: int, cols: int, total: int):
+    """Partitions inside a rows x cols box with weight at most total."""
+    yield ()
+    if rows == 0:
+        return
+    for first in range(1, min(cols, total) + 1):
+        for rest in _partitions(rows - 1, first, total - first):
+            yield (first, *rest)
+
+
 @lru_cache(maxsize=None)
 def enumerate_partitions(rows: int, cols: int) -> tuple[Partition, ...]:
     """All partitions inside a rows x cols box, sorted by weight then lex."""
     if rows < 0 or cols < 0:
         raise ValueError("box sides must be nonnegative")
-
-    def gen(nrows: int, maxpart: int):
-        yield ()
-        if nrows == 0:
-            return
-        for first in range(1, maxpart + 1):
-            for rest in gen(nrows - 1, first):
-                yield (first, *rest)
-
-    return tuple(sorted(gen(rows, cols), key=lambda p: (weight(p), p)))
+    parts = _partitions(rows, cols, rows * cols)
+    return tuple(sorted(parts, key=lambda p: (weight(p), p)))
 
 
 def pieri_multiply(lam: Partition, i: int, box: tuple[int, int]) -> list[Partition]:
@@ -221,20 +217,21 @@ def elementary_symmetric(values, k: int):
     return e[k]
 
 
-def expand_linear_product(forms, nvars: int, truncation: int) -> dict[tuple[int, ...], int]:
-    """Expand prod(1 + sum_j m_j x_j) and rewrite in e_1..e_nvars.
+def expand_linear_product(forms, nvars: int, truncation: int) -> dict[Partition, int]:
+    """Expand prod(1 + sum_j m_j x_j) in the Schur basis s_lam(x_1..x_nvars).
 
     `forms` lists the integer coefficient vectors m over the roots x_1..x_nvars,
-    one per linear factor.  The expansion is truncated in total degree and
-    rewritten greedily: repeatedly subtract the elementary-symmetric monomial
-    whose lex-leading root monomial matches.  Each step removes a symmetric
-    polynomial, so an asymmetric product (a root multiset not closed under
-    the symmetric group, which is a bug in the caller) always reaches a
-    leading exponent that is not a partition and raises ValueError.
+    one per linear factor.  The product is expanded in root monomials,
+    truncated in total degree, and must be symmetric: every coefficient
+    equals the one of its exponent vector sorted, else ValueError (a root
+    multiset not closed under the symmetric group is a bug in the caller).
 
-    The result maps an exponent vector (d_1, ..., d_nvars), standing for
-    e_1^d_1 * ... * e_nvars^d_nvars, to its nonzero integer coefficient;
-    deg e_i = i and every monomial has total degree at most `truncation`.
+    The Schur coefficients are read off with Jacobi's bialternant
+    s_lam = a_{lam+delta} / a_delta: c_lam = sum_w sgn(w) [x^(lam_i + w(i) - i)]
+    of the product, over permutations w.  Rows below the length of lam are
+    pinned (their exponents w(i) - i would turn negative), so w runs over the
+    first len(lam) rows only.  The result maps each partition with at most
+    `nvars` rows and weight at most `truncation` to its nonzero coefficient.
     """
     zero_key = (0,) * nvars
     poly: dict[tuple[int, ...], int] = {zero_key: 1}
@@ -252,49 +249,25 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> dict[tuple[int,
                 ex2 = ex[:j] + (ex[j] + 1,) + ex[j + 1 :]
                 new[ex2] = new.get(ex2, 0) + c * mj
         poly = {k: v for k, v in new.items() if v != 0}
+    for ex, c in poly.items():
+        if poly.get(tuple(sorted(ex, reverse=True))) != c:
+            raise ValueError("product of the linear forms is not symmetric")
 
-    elem = [None] + [
-        {
-            tuple(1 if j in subset else 0 for j in range(nvars)): 1
-            for subset in combinations(range(nvars), i)
-        }
-        for i in range(1, nvars + 1)
-    ]
-    expanded_cache: dict[tuple[int, ...], dict] = {}
-
-    def expand_e_monomial(key: tuple[int, ...]) -> dict:
-        if key in expanded_cache:
-            return expanded_cache[key]
-        prod = {zero_key: 1}
-        for i, mult in enumerate(key):
-            for _ in range(mult):
-                nxt: dict[tuple[int, ...], int] = {}
-                for ex, c in prod.items():
-                    if sum(ex) + i + 1 > truncation:
-                        continue
-                    for mono, _one in elem[i + 1].items():
-                        ex2 = tuple(a + b for a, b in zip(ex, mono))
-                        nxt[ex2] = nxt.get(ex2, 0) + c
-                prod = nxt
-        expanded_cache[key] = prod
-        return prod
-
-    result: dict[tuple[int, ...], int] = {}
-    work = dict(poly)
-    while work:
-        alpha = max(work)
-        c = work[alpha]
-        if any(alpha[t] < alpha[t + 1] for t in range(nvars - 1)):
-            raise ValueError("leading monomial is not a partition; product not symmetric")
-        lam = partition(alpha)
-        mu = conjugate(lam)
-        key = tuple(sum(1 for p in mu if p == i + 1) for i in range(nvars))
-        result[key] = result.get(key, 0) + c
-        for ex, q in expand_e_monomial(key).items():
-            v = work.get(ex, 0) - c * q
-            if v:
-                work[ex] = v
-            else:
-                work.pop(ex, None)
+    shifts: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    result: dict[Partition, int] = {}
+    for lam in _partitions(nvars, truncation, truncation):
+        ell = len(lam)
+        if ell not in shifts:
+            shifts[ell] = [
+                ((-1) ** sum(w[j] > w[i] for i in range(ell) for j in range(i)),
+                 tuple(w[i] - i for i in range(ell)))
+                for w in permutations(range(ell))
+            ]
+        pad = zero_key[ell:]
+        c = sum(
+            sign * poly.get(tuple(p + s for p, s in zip(lam, shift)) + pad, 0)
+            for sign, shift in shifts[ell]
+        )
+        if c:
+            result[lam] = c
     return result
-

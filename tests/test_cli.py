@@ -127,6 +127,22 @@ def test_integrate_command(capsys):
                      {"num": "2", "den": "3"}, id="rational-scalar"),
         pytest.param("pbundle(sym(2,dual(S)),gr(3,6))", "1/2*zeta^8*c(3,S)^2",
                      {"num": "-2", "den": "1"}, id="conic-tower-rational-scalar"),
+        # Sym of every argument kind: duals of S and Q, S and Q themselves,
+        # a composite Sym, and twisted bundles on a tower
+        pytest.param("gr(2,5)", "c(3,sym(2,dual(Q)))*s[1]^3",
+                     {"num": "-50", "den": "1"}, id="sym-dual-Q"),
+        pytest.param("gr(2,5)", "c(3,sym(3,S))*s[1]^3",
+                     {"num": "-90", "den": "1"}, id="sym-S"),
+        pytest.param("gr(2,5)", "c(4,sym(3,Q))*s[1]^2",
+                     {"num": "1715", "den": "1"}, id="sym-Q"),
+        pytest.param("gr(2,5)", "c(3,sym(2,sym(2,dual(S))))*s[1]^3",
+                     {"num": "920", "den": "1"}, id="sym-of-sym"),
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
+                     "c(3,sym(2,tensor(dual(S),o(1))))*zeta^5*s[1]^3",
+                     {"num": "-2830", "den": "1"}, id="sym-tower-twist"),
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
+                     "c(4,sym(3,tensor(Q,o(-1))))*zeta^7",
+                     {"num": "16740", "den": "1"}, id="sym-tower-twist-Q"),
     ],
 )
 def test_integrate_both_backends_agree(capsys, space, expr, value):

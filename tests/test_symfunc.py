@@ -1,12 +1,12 @@
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvecount.symfunc import (
     box_complement,
-    conjugate,
     contains,
     elementary_symmetric,
     enumerate_partitions,
@@ -45,11 +45,8 @@ def test_partition_rejects_increasing():
         partition([2, -1])
 
 
-def test_weight_and_conjugate():
+def test_weight():
     assert weight((3, 1)) == 4
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate(()) == ()
-    assert conjugate(conjugate((4, 2, 1))) == (4, 2, 1)
 
 
 def test_contains():
@@ -144,20 +141,44 @@ def test_elementary_symmetric():
 
 def test_expand_linear_product_sym2_rank2():
     # roots a, b give factors (1+2a)(1+a+b)(1+2b)
-    # = 1 + 3e_1 + (2e_1^2 + 4e_2) + 4e_1e_2
+    # = 1 + 3s_1 + (2s_2 + 6s_11) + 4s_21
     out = expand_linear_product(sym_power_roots(2, 2), 2, 3)
-    assert out[(1, 0)] == 3
-    assert out[(2, 0)] == 2
-    assert out[(0, 1)] == 4
-    assert out[(1, 1)] == 4
+    assert out == {(): 1, (1,): 3, (2,): 2, (1, 1): 6, (2, 1): 4}
 
 
 def test_expand_linear_product_sym3_rank2_top_degree():
     # top degree of (1+3a)(1+2a+b)(1+a+2b)(1+3b) is 9ab(2a^2+5ab+2b^2)
-    # = 18 e_1^2 e_2 + 9 e_2^2
+    # = 18 s_31 + 27 s_22
     out = expand_linear_product(sym_power_roots(3, 2), 2, 4)
-    top = {e: c for e, c in out.items() if sum((i + 1) * m for i, m in enumerate(e)) == 4}
-    assert top == {(2, 1): 18, (0, 2): 9}
+    top = {lam: c for lam, c in out.items() if weight(lam) == 4}
+    assert top == {(3, 1): 18, (2, 2): 27}
+
+
+def _det(rows):
+    n = len(rows)
+    total = 0
+    for w in permutations(range(n)):
+        sign = (-1) ** sum(w[j] > w[i] for i in range(n) for j in range(i))
+        total += sign * prod(rows[i][w[i]] for i in range(n))
+    return total
+
+
+def test_expand_linear_product_matches_bialternant_at_points():
+    # untruncated, the product of the forms equals
+    # sum_lam c_lam * det(x_i^(lam_j + r - j)) / det(x_i^(r - j)) at any point
+    for r in (1, 2, 3):
+        for d in (1, 2, 3):
+            forms = sym_power_roots(d, r)
+            out = expand_linear_product(forms, r, len(forms))
+            for xs in ((2, 3, 5)[:r], (-1, 4, 7)[:r]):
+                lhs = prod(1 + sum(m * x for m, x in zip(f, xs)) for f in forms)
+                vandermonde = _det([[x ** (r - 1 - j) for j in range(r)] for x in xs])
+                rhs = Fraction(0)
+                for lam, c in out.items():
+                    parts = list(lam) + [0] * (r - len(lam))
+                    alt = _det([[x ** (parts[j] + r - 1 - j) for j in range(r)] for x in xs])
+                    rhs += c * Fraction(alt, vandermonde)
+                assert rhs == lhs, (d, r, xs)
 
 
 def test_expand_linear_product_rejects_asymmetric():
