@@ -15,6 +15,17 @@ share one fiber tuple.  Everything else reads the record: S and Q take their
 weights from `subset`, O(k) and zeta from the top level's eigenline, and the
 tangent weights from `subset` plus each level's fiber.
 
+Sym powers dominate the integrand (Sym^20 S* has 231 weights at each conic
+point of P^14), and their weights depend only on the argument's weights.
+`_integrate_once` keeps one memo per `subset`, emptied when the subset
+changes, and passes it through `evaluate_at` to `bundle_weights`, which reads
+it only at a Sym node, keyed by (degree, argument weights).  Because the key
+holds the weights, a Sym of a twisted argument such as S(1) stays right at
+every eigenline.  Memoized weights are kept sorted.  A quotient bundle's
+weights are the multiset difference top - sub, taken by one merge of the two
+sorted lists; a sub not contained in top has no lift and is refused as
+unsupported.
+
 The integral of a supported integrand is the exact rational sum over fixed
 points of (numerator weights) / (product of tangent weights).  Numerators
 are plain integers, rational only when the integrand carries a p/q scalar;
@@ -32,10 +43,10 @@ backend, so agreement between the two is a real cross-check.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import mul
 
 from . import expr as ex
 from .bundles import (
@@ -95,7 +106,7 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
         return [(subset, ()) for subset in combinations(range(space.n), space.k)]
     pts = []
     for base_pt in fixed_points(space.base, weights):
-        fiber = tuple(bundle_weights(space.bundle, base_pt, weights))
+        fiber = tuple(bundle_weights(space.bundle, base_pt, weights, {}))
         if len(set(fiber)) != len(fiber):
             raise WeightCollisionError(
                 f"fiber weights collide at base point {base_pt!r}: {sorted(fiber)}"
@@ -105,8 +116,14 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
     return pts
 
 
-def bundle_weights(expr: BundleExpr, pt, weights) -> list:
-    """Multiset of equivariant weights of a bundle expression at a fixed point."""
+def bundle_weights(expr: BundleExpr, pt, weights, memo: dict) -> list:
+    """Multiset of equivariant weights of a bundle expression at a fixed point.
+
+    `memo` holds the sorted weights of the Sym nodes met so far at points
+    with this `subset`, keyed by (degree, argument weights); see the module
+    notes.  Its lists are shared, so callers only read them.  A quotient is
+    the multiset difference of the sorted top and sub weights, by one merge.
+    """
     subset, levels = pt
     if isinstance(expr, TautSub):
         return [weights[a] for a in subset]
@@ -115,25 +132,24 @@ def bundle_weights(expr: BundleExpr, pt, weights) -> list:
     if isinstance(expr, Trivial):
         return [0] * expr.rank
     if isinstance(expr, Dual):
-        return [-w for w in bundle_weights(expr.arg, pt, weights)]
+        return [-w for w in bundle_weights(expr.arg, pt, weights, memo)]
     if isinstance(expr, Sym):
-        ws = bundle_weights(expr.arg, pt, weights)
-        return [
-            sum(m * w for m, w in zip(mono, ws))
-            for mono in sym_power_roots(expr.degree, len(ws))
-        ]
+        ws = tuple(bundle_weights(expr.arg, pt, weights, memo))
+        key = (expr.degree, ws)
+        if key not in memo:
+            memo[key] = sorted([
+                sum(map(mul, mono, ws))
+                for mono in sym_power_roots(expr.degree, len(ws))
+            ])
+        return memo[key]
     if isinstance(expr, TensorLine):
-        (t,) = bundle_weights(expr.line, pt, weights)
-        return [w + t for w in bundle_weights(expr.arg, pt, weights)]
+        (t,) = bundle_weights(expr.line, pt, weights, memo)
+        return [w + t for w in bundle_weights(expr.arg, pt, weights, memo)]
     if isinstance(expr, WhitneyQuotient):
-        top = Counter(bundle_weights(expr.top, pt, weights))
-        sub = Counter(bundle_weights(expr.sub, pt, weights))
-        top.subtract(sub)
-        if any(v < 0 for v in top.values()):
-            raise UnsupportedExpressionError(
-                "quotient weights are not contained in the ambient bundle"
-            )
-        return list(top.elements())
+        return _difference(
+            bundle_weights(expr.top, pt, weights, memo),
+            bundle_weights(expr.sub, pt, weights, memo),
+        )
     if isinstance(expr, RelO):
         if not levels:
             raise InvalidBundleError("relative O(k) needs a projective bundle")
@@ -141,6 +157,22 @@ def bundle_weights(expr: BundleExpr, pt, weights) -> list:
         # the sub-line has the eigenvalue itself; O(k) is its (-k)-th power
         return [-expr.twist * fiber[idx]]
     raise InvalidBundleError(f"not a bundle expression: {expr!r}")
+
+
+def _difference(top, sub) -> list:
+    """The multiset top - sub, by one merge of the two lists sorted."""
+    sub = sorted(sub)
+    n, i, out = len(sub), 0, []
+    for w in sorted(top):
+        if i < n and sub[i] == w:
+            i += 1
+        else:
+            out.append(w)
+    if i < n:
+        raise UnsupportedExpressionError(
+            "quotient weights are not contained in the ambient bundle"
+        )
+    return out
 
 
 def tangent_weights(pt, weights) -> list:
@@ -152,15 +184,16 @@ def tangent_weights(pt, weights) -> list:
     return out
 
 
-def evaluate_at(node: ex.ExprAst, pt, weights) -> int | Fraction:
-    """Equivariant value of an integrand at one fixed point."""
+def evaluate_at(node: ex.ExprAst, pt, weights, memo: dict) -> int | Fraction:
+    """Equivariant value of an integrand at one fixed point; `memo` as in
+    `bundle_weights`."""
     if isinstance(node, ex.Rational):
         return node.value
     if isinstance(node, ex.Schubert):
         if node.parts == ():
             return 1
         if node.parts == (1,):
-            return sum(bundle_weights(TautQuot(), pt, weights))
+            return sum(bundle_weights(TautQuot(), pt, weights, memo))
         raise UnsupportedExpressionError(
             f"no equivariant lift for sigma_{list(node.parts)}; only sigma_1 is supported"
         )
@@ -171,25 +204,29 @@ def evaluate_at(node: ex.ExprAst, pt, weights) -> int | Fraction:
         fiber, idx = levels[-1]
         return -fiber[idx]
     if isinstance(node, ex.ChernClass):
-        ws = bundle_weights(node.bundle, pt, weights)
+        ws = bundle_weights(node.bundle, pt, weights, memo)
         if node.index > len(ws):
             return 0
         return elementary_symmetric(ws, node.index)
     if isinstance(node, ex.EulerClass):
-        return prod(bundle_weights(node.bundle, pt, weights))
+        return prod(bundle_weights(node.bundle, pt, weights, memo))
     if isinstance(node, ex.Power):
-        return evaluate_at(node.base, pt, weights) ** node.exponent
+        return evaluate_at(node.base, pt, weights, memo) ** node.exponent
     if isinstance(node, ex.Product):
-        return prod(evaluate_at(f, pt, weights) for f in node.factors)
+        return prod(evaluate_at(f, pt, weights, memo) for f in node.factors)
     if isinstance(node, ex.Sum):
-        return sum(evaluate_at(t, pt, weights) for t in node.terms)
+        return sum(evaluate_at(t, pt, weights, memo) for t in node.terms)
     raise TypeError(f"not an integrand expression: {node!r}")
 
 
 def _integrate_once(space: Space, integrand: ex.ExprAst, weights) -> Fraction:
     total = Fraction(0)
+    subset, memo = None, {}
     for pt in fixed_points(space, weights):
-        numerator = evaluate_at(integrand, pt, weights)
+        # points arrive grouped by subset; the memo holds one subset's Sym weights
+        if pt[0] != subset:
+            subset, memo = pt[0], {}
+        numerator = evaluate_at(integrand, pt, weights, memo)
         if numerator == 0:
             continue
         # Fraction first: an int numerator over an int product would be a float

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import bundles, symfunc
 from .symfunc import Partition
@@ -71,10 +71,12 @@ class ProjBundle:
     bundle: "bundles.BundleExpr"
 
     def __post_init__(self):
-        if bundles.rank(self.bundle, self.base) < 1:
+        if self.rank < 1:
             raise ValueError("projectivized bundle must have positive rank")
 
-    @property
+    # computed once per instance and kept out of equality, hash and repr,
+    # which read only the dataclass fields
+    @cached_property
     def rank(self) -> int:
         return bundles.rank(self.bundle, self.base)
 

@@ -105,6 +105,17 @@ def test_general_schubert_class_is_rejected():
         bott_integrate(GR24, ex.Schubert((2, 2)))
 
 
+def test_quotient_outside_its_ambient_is_rejected():
+    # the symbolic engine reads c(Q)/c(S) formally; at a fixed point the
+    # weights of S are not among those of Q, so there is no lift
+    integrand = ex.Product((
+        ex.ChernClass(1, WhitneyQuotient(TautQuot(), TautSub())),
+        ex.Power(ex.Schubert((1,)), 5),
+    ))
+    with pytest.raises(UnsupportedExpressionError, match="not contained"):
+        bott_integrate(grassmannian(2, 5), integrand)
+
+
 def test_below_top_degree_localizes_to_zero():
     # equivariant pushforward of a class below top degree vanishes
     assert bott_integrate(GR24, ex.Power(ex.Schubert((1,)), 3)) == 0

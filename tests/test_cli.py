@@ -143,6 +143,11 @@ def test_integrate_command(capsys):
         pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
                      "c(4,sym(3,tensor(Q,o(-1))))*zeta^7",
                      {"num": "16740", "den": "1"}, id="sym-tower-twist-Q"),
+        # with the ladder weights 0..4, Sym^2 Q repeats a weight (2+4 = 3+3),
+        # so the localization quotient must remove weights with multiplicity
+        pytest.param("pbundle(Q,gr(2,5))",
+                     "c(3,quot(sym(2,Q),tensor(Q,o(-1))))*zeta^2*s[1]^3",
+                     {"num": "-4", "den": "1"}, id="quot-tower-repeated-weights"),
     ],
 )
 def test_integrate_both_backends_agree(capsys, space, expr, value):
@@ -198,6 +203,13 @@ def test_semantic_error_exit_code(capsys):
     )
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
+    # Q/S has rank 1 on Gr(2,5), but the weights of S are not among those of Q
+    code, _, err = _run(
+        capsys, "integrate", "--space", "gr(2,5)", "--expr", "c(1,quot(Q,S))*s[1]^5",
+        "--backend", "bott",
+    )
+    assert code == 3
+    assert err == "error: quotient weights are not contained in the ambient bundle\n"
 
 
 @pytest.mark.parametrize(
