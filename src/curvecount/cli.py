@@ -407,6 +407,8 @@ def _parse_table(text: str, label: str) -> gwdt.InvariantTable:
         if degree in values:
             raise SemanticError(f"degree {degree} appears twice in the {label} table")
         values[degree] = value
+    if not values:
+        raise SemanticError(f"the {label} table is empty")
     try:
         return gwdt.InvariantTable(label, values)
     except ValueError as err:
@@ -414,18 +416,14 @@ def _parse_table(text: str, label: str) -> gwdt.InvariantTable:
 
 
 def _cmd_gwdt(args) -> int:
-    if args.invert:
-        if not args.gw:
-            raise SemanticError("--invert needs --gw")
-        table = _parse_table(args.gw, "GW")
-        out = gwdt.dt_from_gw(table)
-        back = gwdt.gw_from_dt(out)
-    else:
-        if not args.dt:
-            raise SemanticError("gwdt needs --dt (or --invert with --gw)")
+    if args.gw is None:
         table = _parse_table(args.dt, "DT")
         out = gwdt.gw_from_dt(table)
         back = gwdt.dt_from_gw(out)
+    else:
+        table = _parse_table(args.gw, "GW")
+        out = gwdt.dt_from_gw(table)
+        back = gwdt.gw_from_dt(out)
     checks = [
         _check(f"roundtrip degree {m}", table[m], back[m]) for m in sorted(table.values)
     ]
@@ -449,10 +447,10 @@ def _cmd_gwdt(args) -> int:
 
 def _cmd_am_verify(args) -> int:
     d = args.degree
-    value = gwdt.am_localization_verify(d)
+    seeds = [gwdt.am_localization_verify(d, seed) for seed in (0, 1, 2)]
+    value = seeds[0]
     expected = gwdt.aspinwall_morrison_factor(d)
     checks = [_check(f"cover sum equals 1/{d}^3", expected, value)]
-    seeds = [gwdt.am_localization_verify(d, seed) for seed in (0, 1, 2)]
     checks.append(_check("weight independence (seeds 0,1,2)", 1, len(set(seeds))))
     rep = _report("am-verify", backend="localization", value=value, checks=checks)
     return _emit(rep, args.json)
@@ -488,7 +486,7 @@ def _selftest_checks() -> list[dict]:
         checks.append(_check(name, expected, sym_val))
         checks.append(_check(name + " (backends agree)", sym_val, loc_val))
 
-    for d in (1, 2, 3):
+    for d in range(1, gwdt.MAX_COVER_DEGREE + 1):
         checks.append(_check(f"multiple-cover factor, degree {d}",
                              gwdt.aspinwall_morrison_factor(d),
                              gwdt.am_localization_verify(d)))
@@ -563,16 +561,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_ledger.set_defaults(func=_cmd_ledger)
 
     p_gwdt = sub.add_parser("gwdt", help="convert between GW and DT tables")
-    p_gwdt.add_argument("--dt", help="DT table, e.g. 1=60480,2=440884080")
-    p_gwdt.add_argument("--gw", help="GW table (with --invert)")
-    p_gwdt.add_argument("--invert", action="store_true",
-                        help="recover DT from GW")
+    tables = p_gwdt.add_mutually_exclusive_group(required=True)
+    tables.add_argument("--dt", help="DT table, e.g. 1=60480,2=440884080; prints GW")
+    tables.add_argument("--gw", help="GW table, e.g. 1=60480,2=440899200; prints DT")
     p_gwdt.add_argument("--json", action="store_true")
     p_gwdt.set_defaults(func=_cmd_gwdt)
 
     p_am = sub.add_parser("am-verify",
                           help="recompute the multiple-cover factor by localization")
-    p_am.add_argument("--degree", type=int, required=True, choices=(1, 2, 3))
+    p_am.add_argument("--degree", type=int, required=True,
+                      choices=range(1, gwdt.MAX_COVER_DEGREE + 1))
     p_am.add_argument("--json", action="store_true")
     p_am.set_defaults(func=_cmd_am_verify)
 

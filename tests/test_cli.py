@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvecount import cli, expr as ex
+from curvecount import cli, expr as ex, gwdt
 from curvecount.bundles import Dual, RelO, Sym, TautQuot, TautSub, TensorLine, Trivial, WhitneyQuotient
 from curvecount.chow import grassmannian
 from curvecount.cli import ExprSyntaxError, parse_expression, parse_space
@@ -266,11 +266,23 @@ def test_gwdt_command(capsys):
 
 def test_gwdt_invert(capsys):
     code, out, _ = _run(
-        capsys, "gwdt", "--gw", "1=60480,2=440899200", "--invert", "--json"
+        capsys, "gwdt", "--gw", "1=60480,2=440899200", "--json"
     )
     assert code == 0
     rep = json.loads(out)
     assert rep["table"]["2"] == {"num": "440884080", "den": "1"}
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("--dt", "1=60480,2=440884080", "--gw", "1=1"),
+    ("--gw", "1=60480", "--invert"),
+])
+def test_gwdt_needs_exactly_one_table(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gwdt", *argv])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_gwdt_missing_divisor_is_semantic(capsys):
@@ -280,6 +292,9 @@ def test_gwdt_missing_divisor_is_semantic(capsys):
     code, _, err = _run(capsys, "gwdt", "--dt", "1=5,1=6")
     assert code == 3
     assert err == "error: degree 1 appears twice in the DT table\n"
+    code, _, err = _run(capsys, "gwdt", "--gw", "")
+    assert code == 3
+    assert err == "error: the GW table is empty\n"
 
 
 def test_am_verify_command(capsys):
@@ -288,6 +303,19 @@ def test_am_verify_command(capsys):
     rep = json.loads(out)
     assert rep["value"] == {"num": "1", "den": "8"}
     assert all(c["pass"] for c in rep["checks"])
+    code, out, _ = _run(capsys, "am-verify", "--degree", str(gwdt.MAX_COVER_DEGREE), "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] == {"num": "1", "den": str(gwdt.MAX_COVER_DEGREE**3)}
+    assert all(c["pass"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("degree", [0, gwdt.MAX_COVER_DEGREE + 1])
+def test_am_verify_degree_out_of_range_is_usage_error(capsys, degree):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["am-verify", "--degree", str(degree)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_ledger_command(capsys):

@@ -1,16 +1,17 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvecount.gwdt import (
-    CoverGraph,
+    MAX_COVER_DEGREE,
     InvariantTable,
     MissingDivisorError,
     am_localization_verify,
     aspinwall_morrison_factor,
-    cover_graphs,
     dt_from_gw,
+    fixed_trees,
     gw_from_dt,
     moebius,
 )
@@ -90,31 +91,38 @@ def test_aspinwall_morrison_factor():
         aspinwall_morrison_factor(0)
 
 
-def test_cover_graph_counts():
-    assert len(cover_graphs(1)) == 1
-    assert len(cover_graphs(2)) == 3
-    assert len(cover_graphs(3)) == 6
-    with pytest.raises(ValueError):
-        cover_graphs(4)
+def test_fixed_tree_weights_match_automorphism_orders():
+    # sum of 1/|Aut| over the isomorphism classes of colored, degree-labelled
+    # trees; d = 3 has the edge, two legs of degrees 1 and 2 (both
+    # colorings), the alternating chain, and two stars with |Aut| = 6
+    for d, expected in ((1, 1), (2, 2), (3, Fraction(13, 3))):
+        weights = (Fraction(1, factorial(len(colors))) for colors, _ in fixed_trees(d))
+        assert sum(weights) == expected
 
 
-def test_cover_graph_degrees_sum():
-    for d in (1, 2, 3):
-        for g in cover_graphs(d):
-            assert sum(de for _u, _v, de in g.edges) == d
+def test_fixed_trees_are_bipartite_degree_d_trees():
+    for d in range(1, MAX_COVER_DEGREE + 1):
+        for colors, edges in fixed_trees(d):
+            assert len(edges) == len(colors) - 1
+            assert sum(de for _u, _v, de in edges) == d
+            assert all(colors[u] != colors[v] and de > 0 for u, v, de in edges)
 
 
-def test_graphs_reject_equal_colored_edge():
-    bad = CoverGraph((0, 0), ((0, 1, 1),), 1)
-    from curvecount.gwdt import _graph_contribution
+def test_cover_degree_out_of_range_is_rejected():
+    for d in (0, MAX_COVER_DEGREE + 1):
+        with pytest.raises(ValueError):
+            list(fixed_trees(d))
+        with pytest.raises(ValueError):
+            am_localization_verify(d)
 
-    with pytest.raises(ValueError):
-        _graph_contribution(bad, Fraction(0), Fraction(1))
 
-
-@pytest.mark.parametrize("d,expected", [(1, Fraction(1)), (2, Fraction(1, 8)), (3, Fraction(1, 27))])
+@pytest.mark.parametrize("d,expected", [
+    (1, Fraction(1)), (2, Fraction(1, 8)), (3, Fraction(1, 27)),
+    (4, Fraction(1, 64)), (5, Fraction(1, 125)),
+])
 def test_localization_reproduces_cover_factor(d, expected):
-    assert am_localization_verify(d) == expected
+    for seed in (0, 1):
+        assert am_localization_verify(d, seed) == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
