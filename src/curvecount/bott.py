@@ -15,26 +15,37 @@ share one fiber tuple.  Everything else reads the record: S and Q take their
 weights from `subset`, O(k) and zeta from the top level's eigenline, and the
 tangent weights from `subset` plus each level's fiber.
 
+The integrand is lifted once per `bott_integrate` call.  `evaluate_at` and
+`bundle_weights` walk the expression once and return per-point evaluators,
+functions of (pt, weights, memo); the walk validates every bundle through
+`rank` and refuses an atom with no lift, so a refusal comes before any fixed
+point is built.  `fixed_points` lifts each tower level's bundle the same
+way, so every weight comes from one path.  Supported atoms are rational
+constants, sigma_1 (lifted as c1 of the tautological quotient), zeta (lifted
+as minus the weight of the chosen eigenline), and Chern or Euler factors of
+bundle expressions.  General Schubert classes have no lift here; requesting
+one is an unsupported expression, not a wrong answer.
+
 Sym powers dominate the integrand (Sym^20 S* has 231 weights at each conic
 point of P^14), and their weights depend only on the argument's weights.
 `_integrate_once` keeps one memo per `subset`, emptied when the subset
-changes, and passes it through `evaluate_at` to `bundle_weights`, which reads
-it only at a Sym node, keyed by (degree, argument weights).  Because the key
-holds the weights, a Sym of a twisted argument such as S(1) stays right at
-every eigenline.  Memoized weights are kept sorted.  A quotient bundle's
-weights are the multiset difference top - sub, taken by one merge of the two
-sorted lists; a sub not contained in top has no lift and is refused as
-unsupported.
+changes, and the evaluators read it only at a Sym node, keyed by (degree,
+argument weights).  Because the key holds the weights, a Sym of a twisted
+argument such as S(1) stays right at every eigenline.  Memoized weights are
+kept sorted.  A quotient bundle's weights are the multiset difference
+top - sub, taken by one merge of the two sorted lists; a sub not contained
+in top has no lift and is refused as unsupported.
 
-The integral of a supported integrand is the exact rational sum over fixed
-points of (numerator weights) / (product of tangent weights).  Numerators
-are plain integers, rational only when the integrand carries a p/q scalar;
-the quotient at each fixed point is the one place a `Fraction` is formed.
-Supported numerator atoms are rational constants, sigma_1 (lifted as c1 of the
-tautological quotient), zeta (lifted as minus the weight of the chosen
-eigenline), and Chern or Euler factors of bundle expressions.  General
-Schubert classes have no lift here; requesting one is an unsupported
-expression, not a wrong answer.
+The integral is the exact rational sum over fixed points of (numerator
+weights) / (product of tangent weights).  Numerators are plain integers,
+rational only when the integrand carries a p/q scalar.  Each base tangent
+product T_I = prod_{a in I, b not in I} (w_b - w_a) divides
+V = prod_{a<b} (w_b - w_a), so the sum is taken as the integer
+sum_I (V // T_I) * F_I over one `Fraction` by V, where F_I sums the points
+above subset I: the numerator itself on a Grassmannian, a short `Fraction`
+sum over the fiber points on a tower.  One least common multiple
+accumulated over all fixed points is slower on a tower, where the fiber
+denominators never cancel.
 
 This module deliberately shares no ring arithmetic with the symbolic Chow
 backend, so agreement between the two is a real cross-check.
@@ -44,9 +55,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 
 from . import expr as ex
 from .bundles import (
@@ -62,7 +73,7 @@ from .bundles import (
     WhitneyQuotient,
     rank,
 )
-from .chow import Grassmannian, Space
+from .chow import Grassmannian, ProjBundle, Space
 from .symfunc import elementary_symmetric, sym_power_roots
 
 # weight vectors tried by bott_integrate before it gives up
@@ -104,9 +115,10 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
         if len(set(weights)) != len(weights):
             raise WeightCollisionError("ambient weights must be distinct")
         return [(subset, ()) for subset in combinations(range(space.n), space.k)]
+    fiber_at = bundle_weights(space.bundle, space.base)
     pts = []
     for base_pt in fixed_points(space.base, weights):
-        fiber = tuple(bundle_weights(space.bundle, base_pt, weights, {}))
+        fiber = tuple(fiber_at(base_pt, weights, {}))
         if len(set(fiber)) != len(fiber):
             raise WeightCollisionError(
                 f"fiber weights collide at base point {base_pt!r}: {sorted(fiber)}"
@@ -116,46 +128,66 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
     return pts
 
 
-def bundle_weights(expr: BundleExpr, pt, weights, memo: dict) -> list:
-    """Multiset of equivariant weights of a bundle expression at a fixed point.
+def bundle_weights(expr: BundleExpr, space: Space):
+    """Lift a bundle expression read on `space` to its weights at a fixed point.
 
-    `memo` holds the sorted weights of the Sym nodes met so far at points
-    with this `subset`, keyed by (degree, argument weights); see the module
-    notes.  Its lists are shared, so callers only read them.  A quotient is
-    the multiset difference of the sorted top and sub weights, by one merge.
+    Returns a function (pt, weights, memo) -> list, the multiset of
+    equivariant weights at the fixed point `pt` of `space`.  `memo` holds the
+    sorted weights of the Sym nodes met so far at points with this `subset`,
+    keyed by (degree, argument weights); see the module notes.  Its lists are
+    shared, so callers only read them.  A quotient is the multiset difference
+    of the sorted top and sub weights, by one merge.
     """
-    subset, levels = pt
     if isinstance(expr, TautSub):
-        return [weights[a] for a in subset]
+        return lambda pt, weights, memo: [weights[a] for a in pt[0]]
     if isinstance(expr, TautQuot):
-        return [w for b, w in enumerate(weights) if b not in subset]
+        return lambda pt, weights, memo: [
+            w for b, w in enumerate(weights) if b not in pt[0]
+        ]
     if isinstance(expr, Trivial):
-        return [0] * expr.rank
+        zeros = [0] * expr.rank
+        return lambda pt, weights, memo: zeros
     if isinstance(expr, Dual):
-        return [-w for w in bundle_weights(expr.arg, pt, weights, memo)]
+        arg = bundle_weights(expr.arg, space)
+        return lambda pt, weights, memo: [-w for w in arg(pt, weights, memo)]
     if isinstance(expr, Sym):
-        ws = tuple(bundle_weights(expr.arg, pt, weights, memo))
-        key = (expr.degree, ws)
-        if key not in memo:
-            memo[key] = sorted([
-                sum(map(mul, mono, ws))
-                for mono in sym_power_roots(expr.degree, len(ws))
-            ])
-        return memo[key]
+        degree, arg = expr.degree, bundle_weights(expr.arg, space)
+
+        def sym(pt, weights, memo):
+            ws = tuple(arg(pt, weights, memo))
+            key = (degree, ws)
+            if key not in memo:
+                memo[key] = sorted([
+                    sum(map(mul, mono, ws))
+                    for mono in sym_power_roots(degree, len(ws))
+                ])
+            return memo[key]
+
+        return sym
     if isinstance(expr, TensorLine):
-        (t,) = bundle_weights(expr.line, pt, weights, memo)
-        return [w + t for w in bundle_weights(expr.arg, pt, weights, memo)]
+        arg, line = bundle_weights(expr.arg, space), bundle_weights(expr.line, space)
+
+        def tensor(pt, weights, memo):
+            (t,) = line(pt, weights, memo)
+            return [w + t for w in arg(pt, weights, memo)]
+
+        return tensor
     if isinstance(expr, WhitneyQuotient):
-        return _difference(
-            bundle_weights(expr.top, pt, weights, memo),
-            bundle_weights(expr.sub, pt, weights, memo),
+        top, sub = bundle_weights(expr.top, space), bundle_weights(expr.sub, space)
+        return lambda pt, weights, memo: _difference(
+            top(pt, weights, memo), sub(pt, weights, memo)
         )
     if isinstance(expr, RelO):
-        if not levels:
+        if not isinstance(space, ProjBundle):
             raise InvalidBundleError("relative O(k) needs a projective bundle")
-        fiber, idx = levels[-1]
-        # the sub-line has the eigenvalue itself; O(k) is its (-k)-th power
-        return [-expr.twist * fiber[idx]]
+        twist = expr.twist
+
+        def rel_o(pt, weights, memo):
+            fiber, idx = pt[1][-1]
+            # the sub-line has the eigenvalue itself; O(k) is its (-k)-th power
+            return [-twist * fiber[idx]]
+
+        return rel_o
     raise InvalidBundleError(f"not a bundle expression: {expr!r}")
 
 
@@ -176,6 +208,9 @@ def _difference(top, sub) -> list:
 
 
 def tangent_weights(pt, weights) -> list:
+    """Tangent weights at a fixed point: the base Grassmannian's, then each
+    tower level's.  A record with no levels gives the base part alone, and
+    one with an empty subset the fiber part alone."""
     subset, levels = pt
     quot = [w for b, w in enumerate(weights) if b not in subset]
     out = [w - weights[a] for a in subset for w in quot]
@@ -184,54 +219,70 @@ def tangent_weights(pt, weights) -> list:
     return out
 
 
-def evaluate_at(node: ex.ExprAst, pt, weights, memo: dict) -> int | Fraction:
-    """Equivariant value of an integrand at one fixed point; `memo` as in
-    `bundle_weights`."""
+def evaluate_at(node: ex.ExprAst, space: Space):
+    """Lift an integrand on `space` to its value at a fixed point.
+
+    Returns a function (pt, weights, memo) -> int | Fraction; `memo` as in
+    `bundle_weights`.  The walk validates every bundle through `rank`, as the
+    symbolic engine does before computing, and refuses an atom with no lift,
+    so both happen before any fixed point is built.
+    """
     if isinstance(node, ex.Rational):
-        return node.value
+        value = node.value
+        return lambda pt, weights, memo: value
     if isinstance(node, ex.Schubert):
         if node.parts == ():
-            return 1
+            return lambda pt, weights, memo: 1
         if node.parts == (1,):
-            return sum(bundle_weights(TautQuot(), pt, weights, memo))
+            quot = bundle_weights(TautQuot(), space)
+            return lambda pt, weights, memo: sum(quot(pt, weights, memo))
         raise UnsupportedExpressionError(
             f"no equivariant lift for sigma_{list(node.parts)}; only sigma_1 is supported"
         )
     if isinstance(node, ex.Zeta):
-        levels = pt[1]
-        if not levels:
+        if not isinstance(space, ProjBundle):
             raise UnsupportedExpressionError("zeta only lives on a projective bundle")
-        fiber, idx = levels[-1]
-        return -fiber[idx]
+        # zeta is c1 of O(1)
+        line = bundle_weights(RelO(1), space)
+        return lambda pt, weights, memo: line(pt, weights, memo)[0]
     if isinstance(node, ex.ChernClass):
-        ws = bundle_weights(node.bundle, pt, weights, memo)
-        if node.index > len(ws):
-            return 0
-        return elementary_symmetric(ws, node.index)
+        if node.index > rank(node.bundle, space):
+            return lambda pt, weights, memo: 0
+        index, ws = node.index, bundle_weights(node.bundle, space)
+        return lambda pt, weights, memo: elementary_symmetric(ws(pt, weights, memo), index)
     if isinstance(node, ex.EulerClass):
-        return prod(bundle_weights(node.bundle, pt, weights, memo))
+        rank(node.bundle, space)
+        ws = bundle_weights(node.bundle, space)
+        return lambda pt, weights, memo: prod(ws(pt, weights, memo))
     if isinstance(node, ex.Power):
-        return evaluate_at(node.base, pt, weights, memo) ** node.exponent
+        base, exponent = evaluate_at(node.base, space), node.exponent
+        return lambda pt, weights, memo: base(pt, weights, memo) ** exponent
     if isinstance(node, ex.Product):
-        return prod(evaluate_at(f, pt, weights, memo) for f in node.factors)
+        factors = [evaluate_at(f, space) for f in node.factors]
+        return lambda pt, weights, memo: prod([f(pt, weights, memo) for f in factors])
     if isinstance(node, ex.Sum):
-        return sum(evaluate_at(t, pt, weights, memo) for t in node.terms)
+        terms = [evaluate_at(t, space) for t in node.terms]
+        return lambda pt, weights, memo: sum([t(pt, weights, memo) for t in terms])
     raise TypeError(f"not an integrand expression: {node!r}")
 
 
-def _integrate_once(space: Space, integrand: ex.ExprAst, weights) -> Fraction:
-    total = Fraction(0)
-    subset, memo = None, {}
-    for pt in fixed_points(space, weights):
-        # points arrive grouped by subset; the memo holds one subset's Sym weights
-        if pt[0] != subset:
-            subset, memo = pt[0], {}
-        numerator = evaluate_at(integrand, pt, weights, memo)
-        if numerator == 0:
-            continue
-        # Fraction first: an int numerator over an int product would be a float
-        total += Fraction(numerator) / prod(tangent_weights(pt, weights))
-    return total
+def _integrate_once(space: Space, numerator, weights) -> Fraction:
+    """The localized sum of a lifted numerator over one common denominator V;
+    see the module notes."""
+    vandermonde = prod(wb - wa for wa, wb in combinations(weights, 2))
+    total = 0
+    # points arrive grouped by subset; the memo holds one subset's Sym weights
+    for subset, pts in groupby(fixed_points(space, weights), itemgetter(0)):
+        memo, above = {}, 0
+        for pt in pts:
+            value = numerator(pt, weights, memo)
+            if value and pt[1]:
+                # ((), levels) carries the fiber tangent weights alone
+                value = Fraction(value, prod(tangent_weights(((), pt[1]), weights)))
+            above += value
+        if above:
+            total += vandermonde // prod(tangent_weights((subset, ()), weights)) * above
+    return Fraction(total, vandermonde)
 
 
 def bott_integrate(
@@ -241,33 +292,23 @@ def bott_integrate(
 ) -> Fraction:
     """Localized integral of `integrand` over `space`.
 
-    With explicit `weights` a single evaluation runs and a degenerate choice
+    The integrand is lifted once, before any fixed point is built, so an
+    unsupported atom or a malformed bundle is refused at no cost.  With
+    explicit `weights` a single evaluation runs and a degenerate choice
     raises WeightCollisionError so the caller can retry.  Without weights the
     seeds below MAX_SEED are walked until two admissible vectors agree;
     disagreement means the integrand has no well-defined ordinary integral
     (for instance its degree exceeds the dimension) and is reported as
     unsupported.
     """
-    # validate every bundle through rank, as the symbolic engine does before
-    # computing; a malformed bundle's weights fail arbitrarily or not at all
-    stack = [integrand]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ex.ChernClass, ex.EulerClass)):
-            rank(node.bundle, space)
-        elif isinstance(node, ex.Power):
-            stack.append(node.base)
-        elif isinstance(node, ex.Product):
-            stack.extend(node.factors)
-        elif isinstance(node, ex.Sum):
-            stack.extend(node.terms)
+    numerator = evaluate_at(integrand, space)
     if weights is not None:
-        return _integrate_once(space, integrand, tuple(weights))
+        return _integrate_once(space, numerator, tuple(weights))
     n = ambient_size(space)
     values = []
     for seed in range(MAX_SEED):
         try:
-            values.append(_integrate_once(space, integrand, weight_search(seed, n)))
+            values.append(_integrate_once(space, numerator, weight_search(seed, n)))
         except WeightCollisionError:
             continue
         if len(values) == 2:

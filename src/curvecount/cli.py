@@ -13,6 +13,8 @@ binds tighter than +):
              | "tensor(" bundle "," bundle ")" | "quot(" bundle "," bundle ")"
     space   := "gr(" int "," int ")" | "pbundle(" bundle "," space ")"
 
+`sym(1,B)` is read as `B`.
+
 Exit codes: 0 success, 1 a reported check failed, 2 syntax error in an
 expression or space, 3 semantic error (invalid bundle/space combination,
 degree mismatch, unsupported integrand).
@@ -220,7 +222,9 @@ def _parse_bundle(toks: _Tokens) -> bundles.BundleExpr:
         toks.expect(")")
         if d < 0:
             raise SemanticError("symmetric power degree must be nonnegative")
-        return Sym(d, arg)
+        # Sym^1 B is B; built as Sym it would send the symbolic engine through
+        # every Schur shape of weight up to the rank of B
+        return arg if d == 1 else Sym(d, arg)
     if value == "o":
         toks.expect("(")
         k = _parse_int(toks)

@@ -1,7 +1,8 @@
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvecount import bott, expr as ex
 from curvecount.bott import (
@@ -105,6 +106,19 @@ def test_general_schubert_class_is_rejected():
         bott_integrate(GR24, ex.Schubert((2, 2)))
 
 
+def test_unsupported_atoms_are_refused_before_any_fixed_point(monkeypatch):
+    def enumerate_nothing(space, weights):
+        raise AssertionError("fixed points were built for a refused integrand")
+
+    monkeypatch.setattr(bott, "fixed_points", enumerate_nothing)
+    # Gr(10,20) has 184756 fixed points and Gr(15,30) about 1.6e8
+    big = ex.Product((ex.Schubert((2, 2)), ex.Power(ex.Schubert((1,)), 96)))
+    with pytest.raises(UnsupportedExpressionError):
+        bott_integrate(grassmannian(10, 20), big)
+    with pytest.raises(UnsupportedExpressionError):
+        bott_integrate(grassmannian(15, 30), ex.Power(ex.Zeta(), 225))
+
+
 def test_quotient_outside_its_ambient_is_rejected():
     # the symbolic engine reads c(Q)/c(S) formally; at a fixed point the
     # weights of S are not among those of Q, so there is no lift
@@ -181,3 +195,35 @@ NESTED = ProjBundle(CONICS, TensorLine(TautSub(), RelO(1)))
 def test_nested_tower_engines_agree(integrand, expected):
     assert integrate(ex.evaluate(integrand, NESTED)) == expected
     assert bott_integrate(NESTED, integrand) == expected
+
+
+# the common-denominator sum against the literal per-point sum; the last
+# case exceeds the dimension of Gr(2,5), so its value depends on the weights
+@pytest.mark.parametrize(
+    "space, integrand",
+    [
+        (grassmannian(2, 5), ex.Product((ex.rational(Fraction(1, 3)), ex.Power(ex.Schubert((1,)), 6)))),
+        (CONICS, ex.Product((ex.Power(ex.Zeta(), 5), ex.ChernClass(3, TautQuot()), ex.Power(ex.Schubert((1,)), 6)))),
+        (NESTED, ex.Power(ex.Zeta(), 16)),
+        (grassmannian(2, 5), ex.Power(ex.Schubert((1,)), 7)),
+    ],
+    ids=["rational-scalar", "conic-tower", "nested-tower", "over-degree"],
+)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_sum_equals_the_literal_per_point_sum(space, integrand, data):
+    n = bott.ambient_size(space)
+    weights = tuple(data.draw(st.lists(
+        st.integers(-10**4, 10**4), min_size=n, max_size=n, unique=True
+    )))
+    try:
+        pts = fixed_points(space, weights)
+    except WeightCollisionError:
+        with pytest.raises(WeightCollisionError):
+            bott_integrate(space, integrand, weights=weights)
+        return
+    at = bott.evaluate_at(integrand, space)
+    literal = sum(
+        Fraction(at(pt, weights, {})) / prod(tangent_weights(pt, weights)) for pt in pts
+    )
+    assert bott_integrate(space, integrand, weights=weights) == literal

@@ -23,7 +23,9 @@ def bundle_nodes(depth):
     return st.one_of(
         leaf,
         st.builds(Dual, inner),
-        st.builds(Sym, st.integers(min_value=0, max_value=4), inner),
+        # the parser reads sym(1,B) as B, so trees come in that normal form
+        st.builds(lambda d, b: b if d == 1 else Sym(d, b),
+                  st.integers(min_value=0, max_value=4), inner),
         st.builds(TensorLine, inner, st.builds(RelO, st.integers(-2, 2))),
         st.builds(WhitneyQuotient, inner, inner),
     )
@@ -81,6 +83,15 @@ def test_parse_bundle_atoms():
         )
     )
     assert parse_expression("c(2,Q)") == ex.ChernClass(2, TautQuot())
+
+
+def test_parse_reads_sym_one_as_its_argument():
+    assert parse_expression("c(3,sym(1,sym(2,dual(S))))") == ex.ChernClass(
+        3, Sym(2, Dual(TautSub()))
+    )
+    # the rank-zero argument is no longer refused: Sym^1 of it is the zero bundle
+    assert parse_expression("e(sym(1,triv(0)))") == ex.EulerClass(Trivial(0))
+    assert parse_space("pbundle(sym(1,Q),gr(2,4))") == parse_space("pbundle(Q,gr(2,4))")
 
 
 def test_parse_space():
@@ -143,6 +154,11 @@ def test_integrate_command(capsys):
         pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
                      "c(4,sym(3,tensor(Q,o(-1))))*zeta^7",
                      {"num": "16740", "den": "1"}, id="sym-tower-twist-Q"),
+        # sym(1,B) is read as B on both engines
+        pytest.param("gr(3,7)", "c(3,sym(1,sym(2,dual(S))))*s[1]^9",
+                     {"num": "3528", "den": "1"}, id="sym-one"),
+        pytest.param("gr(2,4)", "c(1,sym(1,triv(0)))*s[1]^3",
+                     {"num": "0", "den": "1"}, id="sym-one-of-zero-bundle"),
         # with the ladder weights 0..4, Sym^2 Q repeats a weight (2+4 = 3+3),
         # so the localization quotient must remove weights with multiplicity
         pytest.param("pbundle(Q,gr(2,5))",
