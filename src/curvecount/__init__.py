@@ -46,9 +46,9 @@ from .chow import (
 )
 from .counts import (
     DEGENERATE_CONIC_ASSUMPTION,
+    Check,
     DegreeMismatchError,
     HypersurfaceProblem,
-    LedgerEntry,
     conic_obstruction,
     conic_space,
     count_conics,
@@ -79,6 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BundleExpr",
+    "Check",
     "ChowElement",
     "DEGENERATE_CONIC_ASSUMPTION",
     "DegreeMismatchError",
@@ -87,7 +88,6 @@ __all__ = [
     "HypersurfaceProblem",
     "InvalidBundleError",
     "InvariantTable",
-    "LedgerEntry",
     "MissingDivisorError",
     "Partition",
     "ProjBundle",

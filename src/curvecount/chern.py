@@ -130,8 +130,7 @@ def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ..
 
 
 def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
-    if bundles.rank(line, space) != 1:
-        raise InvalidBundleError("tensor twist must be a line bundle")
+    # chern_classes validated the tree through bundles.rank: `line` has rank 1
     re = bundles.rank(arg, space)
     arg_cs = chern_classes(arg, space)
     ell = chern_classes(line, space)[1]

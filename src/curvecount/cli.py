@@ -16,8 +16,9 @@ binds tighter than +):
 `sym(1,B)` is read as `B`.
 
 Exit codes: 0 success, 1 a reported check failed, 2 syntax error in an
-expression or space, 3 semantic error (invalid bundle/space combination,
-degree mismatch, unsupported integrand).
+expression, space or table, or a usage error in the arguments, 3 semantic
+error (invalid bundle/space combination, degree mismatch, unsupported
+integrand).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import bott, bundles, chern, chow, counts, gwdt, symfunc
+from . import bott, bundles, chow, counts, gwdt, symfunc
 from . import expr as ex
 from .bundles import (
     Dual,
@@ -42,8 +43,8 @@ from .bundles import (
     Trivial,
     WhitneyQuotient,
 )
-from .chow import Grassmannian, ProjBundle, Space
-from .counts import HypersurfaceProblem
+from .chow import ProjBundle, Space
+from .counts import Check, HypersurfaceProblem
 
 
 class ExprSyntaxError(ValueError):
@@ -290,27 +291,22 @@ def _frac_json(v: Fraction) -> dict[str, str]:
 
 def _report(command: str, *, space: str = "", expression: str = "",
             backend: str = "", value: Fraction | None = None,
-            checks: list[dict] | None = None, extra: dict | None = None) -> dict:
+            checks: list[Check] | None = None, extra: dict | None = None) -> dict:
     rep = {
         "command": command,
         "space": space,
         "expr": expression,
         "backend": backend,
         "value": _frac_json(value if value is not None else Fraction(0)),
-        "checks": checks or [],
+        "checks": [
+            {"name": c.name, "expected": str(c.expected), "got": str(c.got),
+             "pass": c.passed}
+            for c in checks or ()
+        ],
     }
     if extra:
         rep.update(extra)
     return rep
-
-
-def _check(name: str, expected, got) -> dict:
-    return {
-        "name": name,
-        "expected": str(expected),
-        "got": str(got),
-        "pass": str(expected) == str(got),
-    }
 
 
 def _emit(rep: dict, as_json: bool, show_value: bool = True) -> int:
@@ -346,7 +342,7 @@ def _cmd_integrate(args) -> int:
         value = localized
     else:
         value = symbolic
-        checks.append(_check("backend agreement", symbolic, localized))
+        checks.append(Check("backend agreement", symbolic, localized))
     rep = _report(
         "integrate",
         space=ex.format_space(space),
@@ -373,8 +369,8 @@ def _cmd_count(args) -> int:
         else counts.conic_space(problem.ambient_dim)
     )
     checks = [
-        _check("backend agreement", symbolic, localized),
-        _check("integer count", symbolic.denominator, 1),
+        Check("backend agreement", symbolic, localized),
+        Check("integer count", 1, symbolic.denominator),
     ]
     rep = _report(
         "count",
@@ -388,9 +384,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    entries = counts.dimension_ledger()
-    checks = [_check(e.name, e.expected, e.computed) for e in entries]
-    rep = _report("ledger", checks=checks,
+    rep = _report("ledger", checks=counts.dimension_ledger(),
                   extra={"notes": [counts.DEGENERATE_CONIC_ASSUMPTION]})
     return _emit(rep, args.json, show_value=False)
 
@@ -429,7 +423,7 @@ def _cmd_gwdt(args) -> int:
         out = gwdt.dt_from_gw(table)
         back = gwdt.gw_from_dt(out)
     checks = [
-        _check(f"roundtrip degree {m}", table[m], back[m]) for m in sorted(table.values)
+        Check(f"roundtrip degree {m}", table[m], back[m]) for m in sorted(table.values)
     ]
     rep = _report(
         "gwdt",
@@ -454,81 +448,17 @@ def _cmd_am_verify(args) -> int:
     seeds = [gwdt.am_localization_verify(d, seed) for seed in (0, 1, 2)]
     value = seeds[0]
     expected = gwdt.aspinwall_morrison_factor(d)
-    checks = [_check(f"cover sum equals 1/{d}^3", expected, value)]
-    checks.append(_check("weight independence (seeds 0,1,2)", 1, len(set(seeds))))
+    checks = [
+        Check(f"cover sum equals 1/{d}^3", expected, value),
+        Check("weight independence (seeds 0,1,2)", 1, len(set(seeds))),
+    ]
     rep = _report("am-verify", backend="localization", value=value, checks=checks)
     return _emit(rep, args.json)
 
 
-def _selftest_checks() -> list[dict]:
-    checks: list[dict] = []
-
-    sextic_lines = HypersurfaceProblem(5, 6, 1, 2)
-    checks.append(_check("lines on the sextic fourfold meeting a plane",
-                         60480, counts.count_lines(sextic_lines)))
-    sextic_conics = HypersurfaceProblem(5, 6, 2, 2)
-    symbolic = counts.count_conics(sextic_conics)
-    checks.append(_check("conics on the sextic fourfold meeting a plane",
-                         440884080, symbolic))
-    checks.append(_check("conic count, localization backend",
-                         symbolic, counts.count_conics(sextic_conics, "bott")))
-
-    dt = gwdt.InvariantTable("DT", {1: Fraction(60480), 2: Fraction(440884080)})
-    gw = gwdt.gw_from_dt(dt)
-    checks.append(_check("degree-2 GW from DT", 440899200, gw[2]))
-    checks.append(_check("Moebius inversion returns DT",
-                         sorted(dt.values.items()),
-                         sorted(gwdt.dt_from_gw(gw).values.items())))
-
-    for name, problem, expected in (
-        ("lines on a cubic surface", HypersurfaceProblem(3, 3, 1), 27),
-        ("lines on a quintic threefold", HypersurfaceProblem(4, 5, 1), 2875),
-        ("conics on a quintic threefold", HypersurfaceProblem(4, 5, 2), 609250),
-    ):
-        sym_val = counts.count_curves(problem, "symbolic")
-        loc_val = counts.count_curves(problem, "bott")
-        checks.append(_check(name, expected, sym_val))
-        checks.append(_check(name + " (backends agree)", sym_val, loc_val))
-
-    for d in range(1, gwdt.MAX_COVER_DEGREE + 1):
-        checks.append(_check(f"multiple-cover factor, degree {d}",
-                             gwdt.aspinwall_morrison_factor(d),
-                             gwdt.am_localization_verify(d)))
-
-    for entry in counts.dimension_ledger():
-        checks.append(_check("ledger " + entry.name, entry.expected, entry.computed))
-
-    gr24 = chow.grassmannian(2, 4)
-    checks.append(_check(
-        "incidence class derives from the universal curve (lines)",
-        True,
-        counts.incidence_from_universal_curve(5, 1) == counts.incidence_class(counts.line_space(5), 1),
-    ))
-    checks.append(_check(
-        "incidence class derives from the universal curve (conics)",
-        True,
-        counts.incidence_from_universal_curve(5, 2) == counts.incidence_class(counts.conic_space(5), 2),
-    ))
-    s = chern.total_chern(TautSub(), gr24)
-    q = chern.total_chern(TautQuot(), gr24)
-    checks.append(_check("Whitney: c(S)c(Q) = 1 on Gr(2,4)",
-                         True, s * q == chow.unit(gr24)))
-    checks.append(_check("duality: sigma_1^4 on Gr(2,4)", Fraction(2),
-                         chow.integrate(chow.sigma(gr24, (1,)) ** 4)))
-    return checks
-
-
 def _cmd_selftest(args) -> int:
-    checks = _selftest_checks()
-    rep = _report("selftest", checks=checks)
-    if not args.json:
-        for c in checks:
-            status = "pass" if c["pass"] else "FAIL"
-            print(f"[{status}] {c['name']}")
-        ok = all(c["pass"] for c in checks)
-        print(f"selftest: {'all checks passed' if ok else 'FAILURES present'}")
-        return 0 if ok else 1
-    return _emit(rep, True)
+    return _emit(_report("selftest", checks=counts.acceptance_checks()), args.json,
+                 show_value=False)
 
 
 # -- entry point -------------------------------------------------------------

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import bott, bundles, chow
+from . import bott, bundles, chern, chow, gwdt
 from . import expr as ex
-from .bundles import Dual, RelO, Sym, TautSub, TensorLine, WhitneyQuotient
+from .bundles import Dual, RelO, Sym, TautQuot, TautSub, TensorLine, WhitneyQuotient
 from .chow import ChowElement, Grassmannian, ProjBundle, Space
 
 
@@ -58,6 +58,9 @@ class HypersurfaceProblem:
             raise ValueError("insertion codimension must be 0 or 2")
         if self.curve_degree == 2 and self.degree < 2:
             raise ValueError("conic problems need hypersurface degree >= 2")
+        if self.curve_degree == 2 and self.ambient_dim < 3:
+            # conics are parametrized over the planes Gr(3, n+1), which needs n >= 3
+            raise ValueError("conic problems need ambient dimension >= 3")
         if self.degree < 1:
             raise ValueError("hypersurface degree must be positive")
 
@@ -210,7 +213,7 @@ def _euler_count(space, bundle, problem: HypersurfaceProblem, backend: str) -> F
     if total != space.dim:
         raise DegreeMismatchError(
             f"integrand degree {total} does not match dim {space.dim} of "
-            f"{space!r}; deficit {space.dim - total}"
+            f"{ex.format_space(space)}; deficit {space.dim - total}"
         )
     integrand = count_integrand(problem)
     if backend == "symbolic":
@@ -220,19 +223,20 @@ def _euler_count(space, bundle, problem: HypersurfaceProblem, backend: str) -> F
     raise ValueError(f"unknown backend {backend!r}")
 
 
-# -- dimension ledger -------------------------------------------------------
+# -- checks ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LedgerEntry:
+class Check:
+    """One exact comparison; it passes when `got` equals `expected`."""
+
     name: str
-    computed: int
-    expected: int
-    note: str
+    expected: object
+    got: object
 
     @property
     def passed(self) -> bool:
-        return self.computed == self.expected
+        return self.expected == self.got
 
 
 DEGENERATE_CONIC_ASSUMPTION = (
@@ -241,7 +245,7 @@ DEGENERATE_CONIC_ASSUMPTION = (
 )
 
 
-def dimension_ledger() -> list[LedgerEntry]:
+def dimension_ledger() -> list[Check]:
     """Consistency checks for the sextic-fourfold conic count, each recomputed
     from first principles and compared against its expected value."""
     sections = comb(5 + 6, 6)
@@ -249,78 +253,84 @@ def dimension_ledger() -> list[LedgerEntry]:
     through_conic = sections - 1 - restriction
     hilb = conic_space(5)
     obstruction_rank = bundles.rank(conic_obstruction(6), hilb)
-    entries = [
-        LedgerEntry(
-            "sextic_sections",
-            sections,
-            462,
-            "degree-6 monomials in six variables: h^0 of O(6) on P^5",
-        ),
-        LedgerEntry(
-            "sextic_moduli_dim",
-            sections - 1,
-            461,
-            "projective dimension of the family of sextic fourfolds",
-        ),
-        LedgerEntry(
-            "conic_restriction",
-            restriction,
-            13,
-            "h^0 of O(6) restricted to a conic: Hilbert polynomial 2t+1 at t=6",
-        ),
-        LedgerEntry(
-            "sextics_through_conic",
-            through_conic,
-            448,
-            "projective dimension of sextics containing a fixed conic",
-        ),
-        LedgerEntry(
-            "conic_moduli_dim",
-            hilb.dim,
-            14,
-            "planes in P^5 (9) plus conics in a plane (5)",
-        ),
-        LedgerEntry(
-            "conic_incidence_dim",
-            hilb.dim + through_conic,
-            462,
-            "pairs (conic, sextic containing it)",
-        ),
-        LedgerEntry(
-            "double_line_locus_dim",
-            chow.grassmannian(3, 6).dim + 2,
-            11,
-            "double lines: a plane plus a line inside it",
-        ),
-        LedgerEntry(
-            "double_line_incidence_dim",
-            chow.grassmannian(3, 6).dim + 2 + through_conic,
-            459,
-            "pairs (double line, sextic containing it); codim 3 in the incidence",
-        ),
-        LedgerEntry(
-            "line_pair_locus_dim",
-            5 + 4 + 4,
-            13,
-            "intersecting line pairs: a point of P^5 plus two lines through it",
-        ),
-        LedgerEntry(
-            "line_pair_incidence_dim",
-            5 + 4 + 4 + through_conic,
-            461,
-            "pairs (line pair, sextic containing it); codim 1 in the incidence",
-        ),
-        LedgerEntry(
-            "conic_obstruction_rank",
-            obstruction_rank,
-            13,
-            "degree-6 forms on a plane modulo the conic ideal: 28 - 15",
-        ),
-        LedgerEntry(
-            "generic_conic_family_dim",
-            hilb.dim - obstruction_rank,
-            1,
-            "expected dimension of the conics on a generic sextic fourfold",
-        ),
+    return [
+        # degree-6 monomials in six variables: h^0 of O(6) on P^5
+        Check("sextic_sections", 462, sections),
+        # projective dimension of the family of sextic fourfolds
+        Check("sextic_moduli_dim", 461, sections - 1),
+        # h^0 of O(6) restricted to a conic: Hilbert polynomial 2t+1 at t=6
+        Check("conic_restriction", 13, restriction),
+        # projective dimension of sextics containing a fixed conic
+        Check("sextics_through_conic", 448, through_conic),
+        # planes in P^5 (9) plus conics in a plane (5)
+        Check("conic_moduli_dim", 14, hilb.dim),
+        # pairs (conic, sextic containing it)
+        Check("conic_incidence_dim", 462, hilb.dim + through_conic),
+        # double lines: a plane plus a line inside it
+        Check("double_line_locus_dim", 11, chow.grassmannian(3, 6).dim + 2),
+        # pairs (double line, sextic containing it); codim 3 in the incidence
+        Check("double_line_incidence_dim", 459,
+              chow.grassmannian(3, 6).dim + 2 + through_conic),
+        # intersecting line pairs: a point of P^5 plus two lines through it
+        Check("line_pair_locus_dim", 13, 5 + 4 + 4),
+        # pairs (line pair, sextic containing it); codim 1 in the incidence
+        Check("line_pair_incidence_dim", 461, 5 + 4 + 4 + through_conic),
+        # degree-6 forms on a plane modulo the conic ideal: 28 - 15
+        Check("conic_obstruction_rank", 13, obstruction_rank),
+        # expected dimension of the conics on a generic sextic fourfold
+        Check("generic_conic_family_dim", 1, hilb.dim - obstruction_rank),
     ]
-    return entries
+
+
+def acceptance_checks() -> list[Check]:
+    """The paper's values and the classical counts it rests on, each
+    recomputed and compared against its literal: every count on both
+    engines, the GW/DT relation, the 1/d^3 cover factor at three weight
+    seeds, the dimension ledger and the incidence, Whitney and duality
+    identities.  `curvecount selftest` reports this list."""
+    checks = [
+        Check(f"{name} ({backend})", expected, count_curves(problem, backend))
+        for name, problem, expected in (
+            ("lines on the sextic fourfold meeting a plane",
+             HypersurfaceProblem(5, 6, 1, 2), 60480),
+            ("conics on the sextic fourfold meeting a plane",
+             HypersurfaceProblem(5, 6, 2, 2), 440884080),
+            ("lines on a cubic surface", HypersurfaceProblem(3, 3, 1), 27),
+            ("lines on a quintic threefold", HypersurfaceProblem(4, 5, 1), 2875),
+            ("conics on a quintic threefold", HypersurfaceProblem(4, 5, 2), 609250),
+        )
+        for backend in ("symbolic", "bott")
+    ]
+
+    dt = gwdt.InvariantTable("DT", {1: Fraction(60480), 2: Fraction(440884080)})
+    gw = gwdt.gw_from_dt(dt)
+    checks.append(Check("degree-2 GW from DT", 440899200, gw[2]))
+    checks.append(Check("GW[2] = DT[2] + DT[1]/4", dt[2] + dt[1] / 4, gw[2]))
+    checks.append(Check("Moebius inversion returns DT",
+                        sorted(dt.values.items()),
+                        sorted(gwdt.dt_from_gw(gw).values.items())))
+
+    checks.extend(
+        Check(f"multiple-cover factor, degree {d}, seed {seed}",
+              Fraction(1, d**3), gwdt.am_localization_verify(d, seed))
+        for d in range(1, gwdt.MAX_COVER_DEGREE + 1)
+        for seed in (0, 1, 2)
+    )
+
+    checks.extend(Check("ledger " + c.name, c.expected, c.got) for c in dimension_ledger())
+
+    checks.extend(
+        Check(f"incidence class derives from the universal curve ({kind})",
+              incidence_class(space, curve_degree),
+              incidence_from_universal_curve(5, curve_degree))
+        for kind, curve_degree, space in (
+            ("lines", 1, line_space(5)),
+            ("conics", 2, conic_space(5)),
+        )
+    )
+    gr24 = chow.grassmannian(2, 4)
+    whitney = chern.total_chern(TautSub(), gr24) * chern.total_chern(TautQuot(), gr24)
+    checks.append(Check("Whitney: c(S)c(Q) = 1 on Gr(2,4)", chow.unit(gr24), whitney))
+    checks.append(Check("duality: sigma_1^4 on Gr(2,4)", 2,
+                        chow.integrate(chow.sigma(gr24, (1,)) ** 4)))
+    return checks

@@ -110,6 +110,42 @@ def test_criterion_5_multiple_cover_factor():
     )
 
 
+def test_acceptance_checks_pin_criteria_1_to_5():
+    # `curvecount selftest` reports counts.acceptance_checks(); every value
+    # criteria 1-5 pin must be the expected value of one of its passing checks
+    pinned = [
+        (f"{name} ({backend})", value)
+        for name, value in (
+            ("lines on the sextic fourfold meeting a plane", 60480),
+            ("conics on the sextic fourfold meeting a plane", 440884080),
+            ("lines on a cubic surface", 27),
+            ("lines on a quintic threefold", 2875),
+            ("conics on a quintic threefold", 609250),
+        )
+        for backend in ("symbolic", "bott")
+    ]
+    pinned += [
+        ("degree-2 GW from DT", 440899200),
+        ("GW[2] = DT[2] + DT[1]/4", 440884080 + Fraction(60480, 4)),
+        ("Moebius inversion returns DT", [(1, 60480), (2, 440884080)]),
+    ]
+    pinned += [
+        (f"multiple-cover factor, degree {d}, seed {seed}", Fraction(1, d**3))
+        for d in (1, 2, 3)
+        for seed in (0, 1, 2)
+    ]
+    by_name = {c.name: c for c in counts.acceptance_checks()}
+    missing = [
+        name for name, value in pinned
+        if name not in by_name or not by_name[name].passed
+        or by_name[name].expected != value
+    ]
+    _criterion(
+        f"selftest checks every value criteria 1-5 pin (missing: {missing})",
+        not missing,
+    )
+
+
 def test_criterion_6_dimension_ledger():
     entries = counts.dimension_ledger()
     expected = {
@@ -130,7 +166,7 @@ def test_criterion_6_dimension_ledger():
     ok = set(by_name) == set(expected)
     for name, value in expected.items():
         entry = by_name.get(name)
-        ok = ok and entry is not None and entry.passed and entry.computed == value
+        ok = ok and entry is not None and entry.passed and entry.got == value
     _criterion("criterion 6: all dimension-ledger entries pass", ok)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvecount import cli, expr as ex, gwdt
+from curvecount import cli, counts, expr as ex, gwdt
 from curvecount.bundles import Dual, RelO, Sym, TautQuot, TautSub, TensorLine, Trivial, WhitneyQuotient
 from curvecount.chow import grassmannian
 from curvecount.cli import ExprSyntaxError, parse_expression, parse_space
@@ -261,6 +261,19 @@ def test_count_command(capsys):
     assert all(c["pass"] for c in rep["checks"])
 
 
+def test_count_refusals_name_the_problem(capsys):
+    # conics are parametrized over Gr(3, n+1), so P^2 is refused by the problem
+    code, _, err = _run(capsys, "count", "conics", "--ambient", "2", "--degree", "2")
+    assert code == 3
+    assert err == "error: conic problems need ambient dimension >= 3\n"
+    code, _, err = _run(capsys, "count", "conics", "--ambient", "3", "--degree", "2")
+    assert code == 3
+    assert err == (
+        "error: integrand degree 5 does not match dim 8 of "
+        "pbundle(sym(2,dual(S)),gr(3,4)); deficit 3\n"
+    )
+
+
 def test_count_lines_with_incidence(capsys):
     code, out, _ = _run(
         capsys, "count", "lines", "--ambient", "5", "--degree", "6",
@@ -350,3 +363,22 @@ def test_selftest_command(capsys):
     assert all(c["pass"] for c in rep["checks"])
     names = [c["name"] for c in rep["checks"]]
     assert any("conics on the sextic" in n for n in names)
+
+
+def test_selftest_reports_failing_checks(capsys, monkeypatch):
+    monkeypatch.setattr(counts, "acceptance_checks", lambda: [
+        # equal exact values of different types pass
+        counts.Check("typed table", [(1, 60480)], [(1, Fraction(60480))]),
+        counts.Check("deliberately wrong", 1, 2),
+    ])
+    code, out, _ = _run(capsys, "selftest")
+    assert code == 1
+    assert "[pass] typed table" in out
+    assert "[FAIL] deliberately wrong: expected 1, got 2" in out
+    code, out, _ = _run(capsys, "selftest", "--json")
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "typed table", "expected": "[(1, 60480)]",
+         "got": "[(1, Fraction(60480, 1))]", "pass": True},
+        {"name": "deliberately wrong", "expected": "1", "got": "2", "pass": False},
+    ]

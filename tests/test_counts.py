@@ -139,10 +139,18 @@ def test_count_helpers_check_curve_degree():
 
 def test_dimension_deficit_is_reported():
     # quintic threefold lines need no incidence condition; demanding one
-    # leaves the integrand one short of top degree
+    # takes the integrand one past top degree
     with pytest.raises(DegreeMismatchError) as err:
         count_curves(HypersurfaceProblem(4, 5, 1, 2))
     assert "1" in str(err.value)
+    # the space is named in the input grammar, not by its dataclass repr
+    assert "of gr(2,5);" in str(err.value)
+    with pytest.raises(DegreeMismatchError) as err:
+        count_curves(HypersurfaceProblem(3, 2, 2))
+    assert str(err.value) == (
+        "integrand degree 5 does not match dim 8 of "
+        "pbundle(sym(2,dual(S)),gr(3,4)); deficit 3"
+    )
 
 
 def test_unknown_backend_rejected():
@@ -157,15 +165,15 @@ def test_ledger_entries_all_pass():
     assert len(entries) >= 10
     for entry in entries:
         assert entry.passed, entry.name
-        assert entry.computed == entry.expected
+        assert entry.got == entry.expected
 
 
 def test_degenerate_locus_codimensions():
     by_name = {e.name: e for e in dimension_ledger()}
-    moduli_with_incidence = by_name["conic_incidence_dim"].computed
-    assert by_name["double_line_incidence_dim"].computed < moduli_with_incidence
-    assert by_name["line_pair_incidence_dim"].computed < moduli_with_incidence
-    assert by_name["generic_conic_family_dim"].computed == 1
+    moduli_with_incidence = by_name["conic_incidence_dim"].got
+    assert by_name["double_line_incidence_dim"].got < moduli_with_incidence
+    assert by_name["line_pair_incidence_dim"].got < moduli_with_incidence
+    assert by_name["generic_conic_family_dim"].got == 1
 
 
 def test_degenerate_conic_assumption_is_stated():
