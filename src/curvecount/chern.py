@@ -16,7 +16,11 @@ Evaluation rules:
 
 Everything on a projective bundle that does not mention the relative O(k) is
 evaluated on the base and pulled back, so the root expansion always runs at
-the smallest possible truncation.  Results are cached per (expression, space).
+the smallest possible truncation.  Classes above the dimension of the space
+are zero: they are not computed, and the tuple is padded with zero classes
+up to the rank.  Each class is built as one `chow.sum_of_products`, so the
+tower relation is applied once per class.  Results are cached per
+(expression, space).
 """
 
 from __future__ import annotations
@@ -80,10 +84,9 @@ def euler_class(expr: BundleExpr, space: Space) -> ChowElement:
 
 
 def total_chern(expr: BundleExpr, space: Space) -> ChowElement:
-    out = chow.zero(space)
-    for c in chern_classes(expr, space):
-        out = out + c
-    return out
+    return chow.sum_of_products(
+        space, ((1, c, None) for c in chern_classes(expr, space))
+    )
 
 
 def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowElement, ...]:
@@ -93,10 +96,10 @@ def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowEleme
     cs = chern_classes(expr, space)
     out = [chow.unit(space)]
     for j in range(1, up_to + 1):
-        acc = chow.zero(space)
-        for i in range(1, min(j, len(cs) - 1) + 1):
-            acc = acc + cs[i] * out[j - i]
-        out.append(-acc)
+        out.append(chow.sum_of_products(
+            space,
+            ((-1, cs[i], out[j - i]) for i in range(1, min(j, len(cs) - 1) + 1)),
+        ))
     return tuple(out)
 
 
@@ -115,45 +118,50 @@ def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ..
         # each of which has a shorter last row
         if lam not in schur:
             head, last = lam[:-1], lam[-1]
-            acc = h[last] * s(head)
-            for nu in symfunc.pieri_multiply(head, last, (len(lam), space.dim)):
-                if nu != lam:
-                    acc = acc - s(nu)
-            schur[lam] = acc
+            strips = symfunc.pieri_multiply(head, last, (len(lam), space.dim))
+            schur[lam] = chow.sum_of_products(
+                space,
+                [(1, h[last], s(head))]
+                + [(-1, s(nu), None) for nu in strips if nu != lam],
+            )
         return schur[lam]
 
-    out = [chow.zero(space) for _ in range(comb(ra + d - 1, d) + 1)]
+    by_weight: list[list] = [[] for _ in range(comb(ra + d - 1, d) + 1)]
     for lam, c in coeffs.items():
-        w = symfunc.weight(lam)
-        out[w] = out[w] + c * s(lam)
-    return tuple(out)
+        by_weight[symfunc.weight(lam)].append((c, s(lam), None))
+    return tuple(chow.sum_of_products(space, terms) for terms in by_weight)
 
 
 def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
     # chern_classes validated the tree through bundles.rank: `line` has rank 1
     re = bundles.rank(arg, space)
+    top = min(re, space.dim)
     arg_cs = chern_classes(arg, space)
     ell = chern_classes(line, space)[1]
     ell_pows = [chow.unit(space)]
-    for _ in range(re):
+    for _ in range(top):
         ell_pows.append(ell_pows[-1] * ell)
-    out = []
-    for k in range(re + 1):
-        acc = chow.zero(space)
-        for i in range(k + 1):
-            acc = acc + comb(re - i, k - i) * (arg_cs[i] * ell_pows[k - i])
-        out.append(acc)
-    return tuple(out)
+    out = [
+        chow.sum_of_products(
+            space,
+            ((comb(re - i, k - i), arg_cs[i], ell_pows[k - i]) for i in range(k + 1)),
+        )
+        for k in range(top + 1)
+    ]
+    return tuple(out) + (chow.zero(space),) * (re - top)
 
 
 def _quotient_classes(top: BundleExpr, sub: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
     rq = bundles.rank(top, space) - bundles.rank(sub, space)
+    last = min(rq, space.dim)
     top_cs = chern_classes(top, space)
     sub_cs = chern_classes(sub, space)
     out = [chow.unit(space)]
-    for k in range(1, rq + 1):
-        acc = top_cs[k] if k < len(top_cs) else chow.zero(space)
-        for i in range(1, min(k, len(sub_cs) - 1) + 1):
-            acc = acc - sub_cs[i] * out[k - i]
-        out.append(acc)
-    return tuple(out)
+    for k in range(1, last + 1):
+        terms = [
+            (-1, sub_cs[i], out[k - i]) for i in range(1, min(k, len(sub_cs) - 1) + 1)
+        ]
+        if k < len(top_cs):
+            terms.append((1, top_cs[k], None))
+        out.append(chow.sum_of_products(space, terms))
+    return tuple(out) + (chow.zero(space),) * (rq - last)

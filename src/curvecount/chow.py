@@ -20,6 +20,12 @@ leaving the box are dropped, which truncates every element at the dimension
 of the space.  Elements are immutable once built and all operations are pure,
 so values can be shared freely across threads.
 
+Products and sums of products (`sum_of_products`) share one private
+multiply-accumulate: each product c * x * y is added, unreduced, into
+mutable per-slot coefficient dicts, at any tower depth, and the tower
+relation is applied once, to the finished sum.  A product is the sum of one
+term, and `reduce_tower` is the sum of its slots.
+
 Coefficients are plain Python numbers: the ring arithmetic never divides, so
 they stay `int` unless a caller scales by a `Fraction`, which the numeric
 tower then carries along.  `integrate` and `coefficient`, the public results,
@@ -168,14 +174,7 @@ class ChowElement:
 
     def __add__(self, other: "ChowElement") -> "ChowElement":
         self._check_same_space(other)
-        if isinstance(self.space, Grassmannian):
-            merged = dict(self.data)
-            for lam, c in other.data.items():
-                merged[lam] = merged.get(lam, 0) + c
-            return ChowElement(self.space, merged)
-        return ChowElement(
-            self.space, tuple(a + b for a, b in zip(self.data, other.data))
-        )
+        return sum_of_products(self.space, ((1, self, None), (1, other, None)))
 
     def __neg__(self) -> "ChowElement":
         return self._scale(-1)
@@ -228,11 +227,7 @@ class ChowElement:
     # -- helpers ---------------------------------------------------------
 
     def _scale(self, c: int | Fraction) -> "ChowElement":
-        if isinstance(self.space, Grassmannian):
-            return ChowElement(
-                self.space, {lam: v * c for lam, v in self.data.items()}
-            )
-        return ChowElement(self.space, tuple(s._scale(c) for s in self.data))
+        return sum_of_products(self.space, ((c, self, None),))
 
     def _check_same_space(self, other: "ChowElement") -> None:
         if not isinstance(other, ChowElement) or self.space != other.space:
@@ -242,29 +237,90 @@ class ChowElement:
             )
 
 
-def _gr_multiply(x: ChowElement, y: ChowElement) -> ChowElement:
-    space = x.space
-    out: dict[Partition, int | Fraction] = {}
-    for lam, a in x.data.items():
-        for mu, b in y.data.items():
-            ab = a * b
-            for nu, c in symfunc.schubert_product(lam, mu, space.rows, space.cols):
-                out[nu] = out.get(nu, 0) + ab * c
-    return ChowElement(space, out)
+def sum_of_products(space: Space, terms) -> ChowElement:
+    """The sum of c * x * y over the triples (c, x, y) of `terms`.
+
+    `y` may be None, which stands for the unit.  Every product accumulates
+    unreduced into one set of per-slot coefficient dicts, and the tower
+    relation is applied once, to the finished sum.
+    """
+    acc = _empty(space)
+    for c, x, y in terms:
+        if x.space != space or (y is not None and y.space != space):
+            raise SpaceMismatchError("summand lives on a different space")
+        if c and not x.is_zero() and (y is None or not y.is_zero()):
+            _accumulate(acc, c, x, y)
+    return _normalize(space, acc)
 
 
-def _tower_multiply(x: ChowElement, y: ChowElement) -> ChowElement:
+def _empty(space: Space):
+    # a Grassmannian accumulator is one dict; a tower accumulator is a list
+    # of base accumulators, one per zeta power, grown on demand
+    return {} if isinstance(space, Grassmannian) else []
+
+
+def _accumulate(acc, c, x: ChowElement, y: ChowElement | None) -> None:
+    """Add c * x * y (c * x when y is None) into the accumulator `acc`."""
     space = x.space
-    r = space.rank
-    raw = [zero(space.base) for _ in range(2 * r - 1)]
+    if isinstance(space, Grassmannian):
+        if y is None:
+            for lam, a in x.data.items():
+                acc[lam] = acc.get(lam, 0) + c * a
+            return
+        product, rows, cols = symfunc.schubert_product, space.rows, space.cols
+        get = acc.get
+        for lam, a in x.data.items():
+            ca = c * a
+            for mu, b in y.data.items():
+                ab = ca * b
+                for nu, k in product(lam, mu, rows, cols):
+                    acc[nu] = get(nu, 0) + ab * k
+        return
+    base = space.base
+    ys = [(0, None)] if y is None else [
+        (j, b) for j, b in enumerate(y.data) if not b.is_zero()
+    ]
     for i, a in enumerate(x.data):
         if a.is_zero():
             continue
-        for j, b in enumerate(y.data):
-            if b.is_zero():
+        for j, b in ys:
+            while len(acc) <= i + j:
+                acc.append(_empty(base))
+            _accumulate(acc[i + j], c, a, b)
+
+
+def _normalize(space: Space, acc) -> ChowElement:
+    """The element an accumulator stands for, in normal form.
+
+    On a tower, zeta^m with m >= r = rank E is eliminated from the top down
+    with the defining relation zeta^r = -sum_{i=1}^{r} c_i(E) zeta^(r-i),
+    each top slot normalized once before it is folded into the slots below.
+    """
+    if isinstance(space, Grassmannian):
+        return ChowElement(space, acc)
+    base, r = space.base, space.rank
+    if len(acc) > r:
+        cs = _relation_classes(space)
+        for m in range(len(acc) - 1, r - 1, -1):
+            top = _normalize(base, acc[m])
+            if top.is_zero():
                 continue
-            raw[i + j] = raw[i + j] + a * b
-    return reduce_tower(space, raw)
+            for i in range(1, r + 1):
+                if not cs[i].is_zero():
+                    _accumulate(acc[m - i], -1, cs[i], top)
+    slots = [_normalize(base, a) for a in acc[:r]]
+    slots.extend(zero(base) for _ in range(r - len(slots)))
+    return ChowElement(space, slots)
+
+
+# two names for one body, so that a profile tells the Grassmannian and the
+# tower products apart
+def _gr_multiply(x: ChowElement, y: ChowElement) -> ChowElement:
+    return sum_of_products(x.space, ((1, x, y),))
+
+
+def _tower_multiply(x: ChowElement, y: ChowElement) -> ChowElement:
+    return sum_of_products(x.space, ((1, x, y),))
 
 
 def reduce_tower(space: ProjBundle, slots) -> ChowElement:
@@ -274,22 +330,13 @@ def reduce_tower(space: ProjBundle, slots) -> ChowElement:
     zeta^r = -sum_{i=1}^{r} c_i(E) zeta^(r-i).  Normal-form input comes back
     unchanged, so the operation is idempotent.
     """
-    slots = list(slots)
+    acc = []
     for s in slots:
         if s.space != space.base:
             raise SpaceMismatchError("tower slot lives on the wrong base")
-    r = space.rank
-    cs = _relation_classes(space)
-    while len(slots) > r:
-        top = slots.pop()
-        m = len(slots)
-        if top.is_zero():
-            continue
-        for i in range(1, r + 1):
-            slots[m - i] = slots[m - i] - cs[i] * top
-    while len(slots) < r:
-        slots.append(zero(space.base))
-    return ChowElement(space, tuple(slots))
+        acc.append(_empty(space.base))
+        _accumulate(acc[-1], 1, s, None)
+    return _normalize(space, acc)
 
 
 def unit(space: Space) -> ChowElement:

@@ -18,13 +18,14 @@ binds tighter than +):
 Exit codes: 0 success, 1 a reported check failed, 2 syntax error in an
 expression, space or table, or a usage error in the arguments, 3 semantic
 error (invalid bundle/space combination, degree mismatch, unsupported
-integrand).
+integrand), 141 the reader closed standard output early (a broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -529,7 +530,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head -1`); point stdout at
+        # devnull so the flush at interpreter exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports it
+    sys.exit(code)
 
 
 if __name__ == "__main__":

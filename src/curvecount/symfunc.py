@@ -79,6 +79,15 @@ def enumerate_partitions(rows: int, cols: int) -> tuple[Partition, ...]:
     return tuple(sorted(parts, key=lambda p: (weight(p), p)))
 
 
+@lru_cache(maxsize=None)
+def _partitions_of_weight(rows: int, cols: int) -> tuple[tuple[Partition, ...], ...]:
+    """The partitions of `enumerate_partitions(rows, cols)`, indexed by weight."""
+    out: list[list[Partition]] = [[] for _ in range(rows * cols + 1)]
+    for lam in enumerate_partitions(rows, cols):
+        out[weight(lam)].append(lam)
+    return tuple(map(tuple, out))
+
+
 def pieri_multiply(lam: Partition, i: int, box: tuple[int, int]) -> list[Partition]:
     """Partitions obtained from lam by adding a horizontal strip of size i.
 
@@ -168,7 +177,9 @@ def schubert_product(
     """Structure constants of sigma_lam * sigma_mu in a rows x cols box.
 
     Returns the pairs (nu, c^nu_{lam,mu}) with nonzero coefficient and nu
-    inside the box; everything outside the box is dropped.
+    inside the box; everything outside the box is dropped.  A cache miss
+    scans only the box partitions of weight |lam| + |mu|, the only ones an
+    LR number can be nonzero on.
     """
     if mu < lam:
         lam, mu = mu, lam
@@ -178,8 +189,8 @@ def schubert_product(
     if w > rows * cols:
         return ()
     pairs = []
-    for nu in enumerate_partitions(rows, cols):
-        if weight(nu) != w or not contains(nu, lam) or not contains(nu, mu):
+    for nu in _partitions_of_weight(rows, cols)[w]:
+        if not contains(nu, lam) or not contains(nu, mu):
             continue
         c = _lr(lam, mu, nu)
         if c:
@@ -226,6 +237,11 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> dict[Partition,
     equals the one of its exponent vector sorted, else ValueError (a root
     multiset not closed under the symmetric group is a bug in the caller).
 
+    The monomial coefficients live in one flat list, ordered by degree.
+    Each factor multiplies it in place, highest degree first, so a
+    coefficient is read before the factor adds into it, and only the degrees
+    the factors so far can reach are visited.
+
     The Schur coefficients are read off with Jacobi's bialternant
     s_lam = a_{lam+delta} / a_delta: c_lam = sum_w sgn(w) [x^(lam_i + w(i) - i)]
     of the product, over permutations w.  Rows below the length of lam are
@@ -233,29 +249,47 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> dict[Partition,
     first len(lam) rows only.  The result maps each partition with at most
     `nvars` rows and weight at most `truncation` to its nonzero coefficient.
     """
-    zero_key = (0,) * nvars
-    poly: dict[tuple[int, ...], int] = {zero_key: 1}
+    forms = [tuple(m) for m in forms]
     for m in forms:
-        m = tuple(m)
         if len(m) != nvars:
             raise ValueError(f"form {m} does not have {nvars} coefficients")
-        new = dict(poly)
-        for ex, c in poly.items():
-            if sum(ex) + 1 > truncation:
-                continue
-            for j, mj in enumerate(m):
-                if mj == 0:
-                    continue
-                ex2 = ex[:j] + (ex[j] + 1,) + ex[j + 1 :]
-                new[ex2] = new.get(ex2, 0) + c * mj
-        poly = {k: v for k, v in new.items() if v != 0}
-    for ex, c in poly.items():
-        if poly.get(tuple(sorted(ex, reverse=True))) != c:
+    # the product has degree at most the number of factors
+    top = max(min(truncation, len(forms)), 0)
+    exps: list[tuple[int, ...]] = []
+    start = []  # start[d]: position of the first monomial of degree d
+    for d in range(top + 1):
+        # the monomials of degree d are the root exponents of Sym^d
+        start.append(len(exps))
+        exps.extend(sym_power_roots(d, nvars))
+    start.append(len(exps))
+    index = {ex: i for i, ex in enumerate(exps)}
+    # up[i][j]: position of x_j times monomial i, for monomials below the top
+    up = [
+        [index[ex[:j] + (ex[j] + 1,) + ex[j + 1:]] for j in range(nvars)]
+        for ex in exps[: start[top]]
+    ]
+    coef = [0] * len(exps)
+    coef[0] = 1
+    reached = 0  # highest degree with a nonzero coefficient so far
+    for m in forms:
+        nz = [(j, mj) for j, mj in enumerate(m) if mj]
+        if not nz:
+            continue
+        for i in range(start[min(reached + 1, top)] - 1, -1, -1):
+            c = coef[i]
+            if c:
+                row = up[i]
+                for j, mj in nz:
+                    coef[row[j]] += c * mj
+        reached = min(reached + 1, top)
+    for ex, c in zip(exps, coef):
+        if coef[index[tuple(sorted(ex, reverse=True))]] != c:
             raise ValueError("product of the linear forms is not symmetric")
 
+    zero_key = (0,) * nvars
     shifts: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     result: dict[Partition, int] = {}
-    for lam in _partitions(nvars, truncation, truncation):
+    for lam in _partitions(nvars, top, top):
         ell = len(lam)
         if ell not in shifts:
             shifts[ell] = [
@@ -264,10 +298,11 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> dict[Partition,
                 for w in permutations(range(ell))
             ]
         pad = zero_key[ell:]
-        c = sum(
-            sign * poly.get(tuple(p + s for p, s in zip(lam, shift)) + pad, 0)
-            for sign, shift in shifts[ell]
-        )
+        c = 0
+        for sign, shift in shifts[ell]:
+            i = index.get(tuple(p + s for p, s in zip(lam, shift)) + pad)
+            if i is not None:
+                c += sign * coef[i]
         if c:
             result[lam] = c
     return result

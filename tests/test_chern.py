@@ -149,3 +149,18 @@ def test_chern_classes_pull_back_through_towers():
     base_cs = chern_classes(Sym(2, Dual(TautSub())), GR36)
     tower_cs = chern_classes(Sym(2, Dual(TautSub())), CONICS)
     assert tower_cs == tuple(pullback(CONICS, c) for c in base_cs)
+
+
+def test_classes_above_the_dimension_are_zero():
+    # the conic bundle over Gr(3,5) has dimension 11, below the ranks of the
+    # twist (15) and of the quotient (13); the tuples still run to the rank
+    conics = ProjBundle(grassmannian(3, 5), Sym(2, Dual(TautSub())))
+    assert conics.dim == 11
+    twist = chern_classes(SEXTIC_VANISHING, conics)
+    assert len(twist) == 16
+    assert all(c.is_zero() for c in twist[12:])
+    assert not twist[11].is_zero()
+    quot = chern_classes(SEXTIC_OBSTRUCTION, conics)
+    assert len(quot) == 14
+    assert all(c.is_zero() for c in quot[12:])
+    assert not quot[11].is_zero()

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from curvecount import chow
 from curvecount.bundles import Dual, Sym, TautSub, Trivial
+from curvecount.chern import chern_classes
 from curvecount.chow import (
+    ChowElement,
     Grassmannian,
     ProjBundle,
     SpaceMismatchError,
@@ -25,6 +27,9 @@ from curvecount.symfunc import box_complement, pieri_multiply, weight
 GR24 = grassmannian(2, 4)
 GR25 = grassmannian(2, 5)
 GR36 = grassmannian(3, 6)
+PS = ProjBundle(GR24, TautSub())
+PS_S = ProjBundle(PS, TautSub())
+CONICS_35 = ProjBundle(grassmannian(3, 5), Sym(2, Dual(TautSub())))
 
 
 def test_grassmannian_validation():
@@ -105,28 +110,33 @@ def test_poincare_duality(gr):
             assert integrate(sigma(gr, lam) * sigma(gr, mu)) == expected
 
 
-def _random_element(gr, rng):
-    out = zero(gr)
-    for lam in basis(gr):
+def _random_element(space, rng):
+    # a random normal form: random Schubert sums in every slot of every level
+    if isinstance(space, ProjBundle):
+        return ChowElement(
+            space, [_random_element(space.base, rng) for _ in range(space.rank)]
+        )
+    out = zero(space)
+    for lam in basis(space):
         if rng.random() < 0.4:
-            out = out + rng.randint(-3, 3) * sigma(gr, lam)
+            out = out + rng.randint(-3, 3) * sigma(space, lam)
     return out
 
 
 def test_ring_axioms_on_random_elements():
     rng = random.Random(7)
-    for _ in range(12):
-        a = _random_element(GR36, rng)
-        b = _random_element(GR36, rng)
-        c = _random_element(GR36, rng)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+    # a Grassmannian, towers of depth one and two, and the conic bundle
+    for space, rounds in ((GR36, 12), (PS, 6), (PS_S, 4), (CONICS_35, 3)):
+        for _ in range(rounds):
+            a = _random_element(space, rng)
+            b = _random_element(space, rng)
+            c = _random_element(space, rng)
+            assert a * b == b * a
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
 
 
 # -- projective bundle towers ------------------------------------------------
-
-PS = ProjBundle(GR24, TautSub())
 
 
 def test_tower_dimensions():
@@ -216,6 +226,32 @@ def test_two_level_tower():
     s22 = pullback(curve, pullback(PS, sigma(GR24, (2, 2))))
     assert integrate(h * zt * s22) == 1
     assert pushforward(pushforward(h * zt)) == unit(GR24)
+
+
+def _reduce_by_hand(space, slots):
+    # zeta^m = -sum_{i=1}^{r} c_i(E) zeta^(m-i), one top slot at a time
+    cs = chern_classes(space.bundle, space.base)
+    slots, r = list(slots), space.rank
+    while len(slots) > r:
+        top = slots.pop()
+        m = len(slots)
+        for i in range(1, r + 1):
+            slots[m - i] = slots[m - i] - cs[i] * top
+    return ChowElement(space, slots)
+
+
+def test_tower_product_is_the_reduced_slot_convolution():
+    rng = random.Random(11)
+    for space in (PS, PS_S, CONICS_35):
+        for _ in range(3):
+            a = _random_element(space, rng)
+            b = _random_element(space, rng)
+            raw = [zero(space.base) for _ in range(2 * space.rank - 1)]
+            for i, x in enumerate(a.data):
+                for j, y in enumerate(b.data):
+                    raw[i + j] = raw[i + j] + x * y
+            assert a * b == chow.reduce_tower(space, raw)
+            assert a * b == _reduce_by_hand(space, raw)
 
 
 @given(st.integers(min_value=0, max_value=6))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +168,15 @@ def test_integrate_command(capsys):
         pytest.param("pbundle(Q,gr(2,5))",
                      "c(3,quot(sym(2,Q),tensor(Q,o(-1))))*zeta^2*s[1]^3",
                      {"num": "-4", "den": "1"}, id="quot-tower-repeated-weights"),
+        # the conic bundle over Gr(3,5) has dimension 11, below the ranks of
+        # the twist (15) and the quotient (13): the top-degree classes
+        # come out of sums cut at the dimension
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
+                     "c(11,tensor(sym(4,dual(S)),o(-1)))",
+                     {"num": "-233252250", "den": "1"}, id="twist-rank-above-dim"),
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
+                     "c(11,quot(sym(6,dual(S)),tensor(sym(4,dual(S)),o(-1))))",
+                     {"num": "188068995", "den": "1"}, id="quot-rank-above-dim"),
     ],
 )
 def test_integrate_both_backends_agree(capsys, space, expr, value):
@@ -382,3 +395,28 @@ def test_selftest_reports_failing_checks(capsys, monkeypatch):
          "got": "[(1, Fraction(60480, 1))]", "pass": True},
         {"name": "deliberately wrong", "expected": "1", "got": "2", "pass": False},
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ledger"], ["count", "conics", "--ambient", "4", "--degree", "5"]],
+    ids=["ledger", "count-conics"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # `curvecount ledger | true`: the reader is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvecount.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == 141

@@ -181,6 +181,54 @@ def test_expand_linear_product_matches_bialternant_at_points():
                 assert rhs == lhs, (d, r, xs)
 
 
+def _reference_expand(forms, nvars, truncation):
+    # the monomial dict product, one factor at a time, and the bialternant
+    # read-off c_lam = sum_w sgn(w) [x^(lam + w - id)]
+    poly = {(0,) * nvars: 1}
+    for m in forms:
+        new = dict(poly)
+        for ex, c in poly.items():
+            if sum(ex) + 1 > truncation:
+                continue
+            for j, mj in enumerate(m):
+                if mj:
+                    ex2 = ex[:j] + (ex[j] + 1,) + ex[j + 1:]
+                    new[ex2] = new.get(ex2, 0) + c * mj
+        poly = {k: v for k, v in new.items() if v}
+    out = {}
+    for rows in range(nvars + 1):
+        for lam in enumerate_partitions(rows, truncation):
+            if len(lam) != rows or weight(lam) > truncation:
+                continue
+            c = 0
+            for w in permutations(range(rows)):
+                sign = (-1) ** sum(w[j] > w[i] for i in range(rows) for j in range(i))
+                ex = tuple(lam[i] + w[i] - i for i in range(rows)) + (0,) * (nvars - rows)
+                c += sign * poly.get(ex, 0)
+            if c:
+                out[lam] = c
+    return out
+
+
+def _orbit(vector):
+    return sorted(set(permutations(vector)))
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_expand_linear_product_matches_the_dict_product(nvars):
+    zero = (0,) * nvars
+    cases = [sym_power_roots(d, nvars) for d in (1, 2, 3)] + [
+        # forms with zero entries, a zero form, repeated orbits
+        _orbit((2,) + (0,) * (nvars - 1)) + [zero] + _orbit((1, 1) + (0,) * (nvars - 2)),
+        _orbit((3, -1) + (0,) * (nvars - 2)) * 2,
+    ]
+    for forms in cases:
+        for truncation in (0, 1, 2, 5, len(forms) + 1):
+            got = expand_linear_product(forms, nvars, truncation)
+            assert got == _reference_expand(forms, nvars, truncation), (forms, truncation)
+        assert expand_linear_product(forms, nvars, 0) == {(): 1}
+
+
 def test_expand_linear_product_rejects_asymmetric():
     with pytest.raises(ValueError):
         expand_linear_product(((1, 0), (0, 2)), 2, 2)
