@@ -21,10 +21,13 @@ functions of (pt, weights, memo); the walk validates every bundle through
 `rank` and refuses an atom with no lift, so a refusal comes before any fixed
 point is built.  `fixed_points` lifts each tower level's bundle the same
 way, so every weight comes from one path.  Supported atoms are rational
-constants, sigma_1 (lifted as c1 of the tautological quotient), zeta (lifted
-as minus the weight of the chosen eigenline), and Chern or Euler factors of
-bundle expressions.  General Schubert classes have no lift here; requesting
-one is an unsupported expression, not a wrong answer.
+constants, Schubert classes, zeta (lifted as minus the weight of the chosen
+eigenline), and Chern or Euler factors of bundle expressions.  sigma_1 is
+c1 of the tautological quotient, the sum of its weights; any other sigma_lam
+is the Giambelli determinant det(c_{lam_i + j - i}(Q)), with c_k(Q) the k-th
+elementary symmetric function of the quotient weights.  Zeta off a
+projective bundle has no lift; requesting it is an unsupported expression,
+not a wrong answer.
 
 Sym powers dominate the integrand (Sym^20 S* has 231 weights at each conic
 point of P^14), and their weights depend only on the argument's weights.
@@ -233,12 +236,23 @@ def evaluate_at(node: ex.ExprAst, space: Space):
     if isinstance(node, ex.Schubert):
         if node.parts == ():
             return lambda pt, weights, memo: 1
+        quot = bundle_weights(TautQuot(), space)
         if node.parts == (1,):
-            quot = bundle_weights(TautQuot(), space)
             return lambda pt, weights, memo: sum(quot(pt, weights, memo))
-        raise UnsupportedExpressionError(
-            f"no equivariant lift for sigma_{list(node.parts)}; only sigma_1 is supported"
-        )
+        lam = node.parts
+        ell = len(lam)
+
+        def schubert(pt, weights, memo):
+            # Giambelli: sigma_lam = det(c_{lam_i + j - i}(Q)), c_k(Q) = e_k
+            # of the quotient weights
+            ws = quot(pt, weights, memo)
+            e = [elementary_symmetric(ws, k) for k in range(lam[0] + ell)]
+            return _det([
+                [e[lam[i] + j - i] if lam[i] + j >= i else 0 for j in range(ell)]
+                for i in range(ell)
+            ])
+
+        return schubert
     if isinstance(node, ex.Zeta):
         if not isinstance(space, ProjBundle):
             raise UnsupportedExpressionError("zeta only lives on a projective bundle")
@@ -264,6 +278,24 @@ def evaluate_at(node: ex.ExprAst, space: Space):
         terms = [evaluate_at(t, space) for t in node.terms]
         return lambda pt, weights, memo: sum([t(pt, weights, memo) for t in terms])
     raise TypeError(f"not an integrand expression: {node!r}")
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free elimination."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # exact: Bareiss's division leaves an integer
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
 
 
 def _integrate_once(space: Space, numerator, weights) -> Fraction:

@@ -7,7 +7,11 @@ Evaluation rules:
 - duals flip the sign of odd classes;
 - symmetric powers go through Chern roots: the product of the root linear
   forms is expanded in the Schur basis (`symfunc.expand_linear_product`),
-  and each s_lam of the argument is built by the Pieri rule from the
+  and each s_lam of the argument is a class of the space.  When the argument
+  is S, Q or a dual of either, s_lam is read off by Giambelli as a signed
+  Schubert class, s_lam(S*) = sigma_lam and s_lam(Q) = sigma_lam', with
+  (-1)^|lam| per dual, so the class is one linear combination and needs no
+  ring product.  Any other argument builds s_lam by the Pieri rule from the
   complete classes h_j = (-1)^j s_j, s_j its Segre classes;
 - twists by a line bundle use c_k(E ox L) =
   sum_i binom(rank E - i, k - i) c_i(E) c1(L)^(k-i);
@@ -108,8 +112,29 @@ def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ..
     coeffs = symfunc.expand_linear_product(
         symfunc.sym_power_roots(d, ra), ra, space.dim
     )
-    # the Pieri recursion below reads h_j only for j <= |lam|, lam in coeffs
-    top = max(map(symfunc.weight, coeffs))
+    schur = _schur_classes(arg, space, max(map(symfunc.weight, coeffs)))
+    by_weight: list[list] = [[] for _ in range(comb(ra + d - 1, d) + 1)]
+    for lam, c in coeffs.items():
+        sign, x = schur(lam)
+        by_weight[symfunc.weight(lam)].append((sign * c, x, None))
+    return tuple(chow.sum_of_products(space, terms) for terms in by_weight)
+
+
+def _schur_classes(arg: BundleExpr, space: Space, top: int):
+    """A function lam -> (sign, x) with s_lam(arg) = sign * x, for |lam| <= top."""
+    inner, duals = arg, 0
+    while isinstance(inner, Dual):
+        inner, duals = inner.arg, duals + 1
+    if isinstance(inner, (TautSub, TautQuot)):
+        # Giambelli: s_lam(S*) = sigma_lam and s_lam(Q) = sigma_lam', and
+        # s_lam(E*) = (-1)^|lam| s_lam(E); S is the dual of S*
+        transpose = isinstance(inner, TautQuot)
+        duals += not transpose
+        return lambda lam: (
+            (-1) ** (duals * symfunc.weight(lam)),
+            chow.sigma(space, symfunc.conjugate(lam) if transpose else lam),
+        )
+
     h = [(-1) ** j * sj for j, sj in enumerate(segre_classes(arg, space, top))]
     schur = {symfunc.partition([j]): hj for j, hj in enumerate(h)}
 
@@ -126,10 +151,7 @@ def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ..
             )
         return schur[lam]
 
-    by_weight: list[list] = [[] for _ in range(comb(ra + d - 1, d) + 1)]
-    for lam, c in coeffs.items():
-        by_weight[symfunc.weight(lam)].append((c, s(lam), None))
-    return tuple(chow.sum_of_products(space, terms) for terms in by_weight)
+    return lambda lam: (1, s(lam))
 
 
 def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[ChowElement, ...]:

@@ -3,9 +3,11 @@
 Partitions are plain tuples of weakly decreasing positive integers with
 trailing zeros trimmed; the empty tuple is the empty partition.  This module
 provides the combinatorial layer everything else is built on: box-bounded
-partition enumeration, the Pieri rule, Littlewood-Richardson numbers by skew
-tableau enumeration, and the Schur expansion of products of linear forms in
-Chern roots.
+partition enumeration, the Pieri rule, Littlewood-Richardson numbers by one
+walk that adds horizontal strips, and the Schur expansion of products of
+linear forms in Chern roots.  The walk adds the rows of one factor to the
+other, one labelled strip per row under the lattice condition; the Pieri
+rule is its one-strip case.
 
 All functions are pure.  The caches only ever store values that any caller
 would recompute identically, so concurrent readers and redundant concurrent
@@ -79,20 +81,63 @@ def enumerate_partitions(rows: int, cols: int) -> tuple[Partition, ...]:
     return tuple(sorted(parts, key=lambda p: (weight(p), p)))
 
 
+def conjugate(lam: Partition) -> Partition:
+    """The transposed partition: its rows are the columns of lam."""
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
 @lru_cache(maxsize=None)
-def _partitions_of_weight(rows: int, cols: int) -> tuple[tuple[Partition, ...], ...]:
-    """The partitions of `enumerate_partitions(rows, cols)`, indexed by weight."""
-    out: list[list[Partition]] = [[] for _ in range(rows * cols + 1)]
-    for lam in enumerate_partitions(rows, cols):
-        out[weight(lam)].append(lam)
-    return tuple(map(tuple, out))
+def _horizontal_strips(
+    shape: Partition, size: int, outer: Partition, quota: Partition | None
+) -> tuple[tuple[Partition, Partition], ...]:
+    """The horizontal strips of `size` cells that fit between shape and outer.
+
+    `shape` and `outer` are padded to the same number of rows.  Row j may grow
+    up to outer[j] and up to shape[j-1], the row above before the strip, so no
+    two new cells share a column.  When `quota` is given, the strip puts at
+    most quota[j] cells in rows 0..j together.  Returns the pairs (grown
+    shape, prefix), both padded, where prefix[j] counts the cells the strip
+    put in rows 0..j-1: the quota of the next strip.
+    """
+    rows = len(shape)
+    room = [
+        (min(outer[j], shape[j - 1]) if j else outer[0]) - shape[j] for j in range(rows)
+    ]
+    # later[j]: cells rows j+1.. can still take, to cut dead branches
+    later = [0] * rows
+    for j in range(rows - 1, 0, -1):
+        later[j - 1] = later[j] + room[j]
+    grown, prefix = list(shape), [0] * rows
+    out: list[tuple[Partition, Partition]] = []
+
+    def rec(j: int, rem: int, used: int) -> None:
+        prefix[j] = used
+        hi = room[j] if room[j] < rem else rem
+        if quota is not None and quota[j] - used < hi:
+            hi = quota[j] - used
+        lo = rem - later[j]
+        for a in range(hi, (lo if lo > 0 else 0) - 1, -1):
+            grown[j] = shape[j] + a
+            if a == rem:
+                # the rows below stay as they are
+                out.append((tuple(grown), tuple(prefix[: j + 1]) + (used + a,) * (rows - j - 1)))
+            else:
+                rec(j + 1, rem - a, used + a)
+        grown[j] = shape[j]
+
+    if size == 0:
+        return ((shape, (0,) * rows),)
+    if rows:
+        rec(0, size, 0)
+    return tuple(out)
 
 
 def pieri_multiply(lam: Partition, i: int, box: tuple[int, int]) -> list[Partition]:
     """Partitions obtained from lam by adding a horizontal strip of size i.
 
     Results that leave the box are dropped, which is exactly the Pieri rule
-    for multiplying a Schubert class by the i-th special class.
+    for multiplying a Schubert class by the i-th special class.  This is one
+    step of the strip walk behind `schubert_product`.
     """
     rows, cols = box
     lam = partition(lam)
@@ -100,22 +145,40 @@ def pieri_multiply(lam: Partition, i: int, box: tuple[int, int]) -> list[Partiti
         raise ValueError("strip size must be nonnegative")
     if not fits_box(lam, rows, cols):
         return []
-    padded = list(lam) + [0] * (rows - len(lam))
-    out: list[Partition] = []
+    padded = lam + (0,) * (rows - len(lam))
+    return [_trim(nu) for nu, _ in _horizontal_strips(padded, i, (cols,) * rows, None)]
 
-    def rec(j: int, built: list[int], rem: int) -> None:
-        if j == rows:
-            if rem == 0:
-                out.append(partition(built))
-            return
-        lo = padded[j]
-        hi = cols if j == 0 else padded[j - 1]
-        for v in range(lo, min(hi, lo + rem) + 1):
-            built.append(v)
-            rec(j + 1, built, rem - (v - lo))
-            built.pop()
 
-    rec(0, [], i)
+def _trim(padded: Partition) -> Partition:
+    end = len(padded)
+    while end and not padded[end - 1]:
+        end -= 1
+    return padded[:end]
+
+
+def _strip_walk(lam: Partition, mu: Partition, outer: Partition) -> dict[Partition, int]:
+    """sigma_lam * sigma_mu, keeping only the shapes inside `outer`.
+
+    Littlewood-Richardson rule as a walk: the rows of mu are added to lam in
+    turn, row i as a horizontal strip of cells labelled i.  The labels read
+    rows top to bottom, each row right to left, must form a lattice word: the
+    cells labelled i+1 in rows 0..j number at most the cells labelled i in
+    rows 0..j-1.  That bound depends only on the shape and the per-row count
+    of the last label, so paths that agree on both are merged into one state
+    with a multiplicity.  `outer` is padded to at least len(lam) rows.
+    """
+    rows = len(outer)
+    states = {(lam + (0,) * (rows - len(lam)), None): 1}
+    for size in mu:
+        step: dict = {}
+        for (shape, quota), mult in states.items():
+            for key in _horizontal_strips(shape, size, outer, quota):
+                step[key] = step.get(key, 0) + mult
+        states = step
+    out: dict[Partition, int] = {}
+    for (shape, _), mult in states.items():
+        nu = _trim(shape)
+        out[nu] = out.get(nu, 0) + mult
     return out
 
 
@@ -124,7 +187,8 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 
     Counts column-strict fillings of the skew shape nu/lam with content mu
     whose reverse reading word (rows top to bottom, each row right to left)
-    is a lattice word.
+    is a lattice word, by the strip walk of `schubert_product` confined to
+    the shape nu.
     """
     return _lr(partition(lam), partition(mu), partition(nu))
 
@@ -133,41 +197,9 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
 def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     if weight(lam) + weight(mu) != weight(nu):
         return 0
-    if not contains(nu, lam):
+    if not contains(nu, lam) or not contains(nu, mu):
         return 0
-    if not mu:
-        return 1
-    nrows = len(nu)
-    lam_p = list(lam) + [0] * (nrows - len(lam))
-    cells = [(r, c) for r in range(nrows) for c in range(nu[r] - 1, lam_p[r] - 1, -1)]
-    mlen = len(mu)
-    counts = [0] * mlen
-    filling = [[0] * nu[r] for r in range(nrows)]
-    total = 0
-
-    def place(idx: int) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        right = filling[r][c + 1] if c + 1 < nu[r] else mlen
-        above = filling[r - 1][c] if r > 0 and c >= lam_p[r - 1] else 0
-        for v in range(above + 1, min(right, mlen) + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            # lattice condition: after placing v the count of v may not
-            # exceed the count of v-1
-            if v >= 2 and counts[v - 1] >= counts[v - 2]:
-                continue
-            counts[v - 1] += 1
-            filling[r][c] = v
-            place(idx + 1)
-            counts[v - 1] -= 1
-            filling[r][c] = 0
-
-    place(0)
-    return total
+    return _strip_walk(lam, mu, nu).get(nu, 0)
 
 
 @lru_cache(maxsize=None)
@@ -177,25 +209,18 @@ def schubert_product(
     """Structure constants of sigma_lam * sigma_mu in a rows x cols box.
 
     Returns the pairs (nu, c^nu_{lam,mu}) with nonzero coefficient and nu
-    inside the box; everything outside the box is dropped.  A cache miss
-    scans only the box partitions of weight |lam| + |mu|, the only ones an
-    LR number can be nonzero on.
+    inside the box; everything outside the box is dropped.  A cache miss is
+    one strip walk (`_strip_walk`) that adds the rows of the lighter factor
+    to the other inside the box, so every shape it reaches is a term.
     """
-    if mu < lam:
-        lam, mu = mu, lam
+    if (weight(mu), mu) > (weight(lam), lam):
+        # one walk for both orders: the swapped call is cached
+        return schubert_product(mu, lam, rows, cols)
     if not fits_box(lam, rows, cols) or not fits_box(mu, rows, cols):
         return ()
-    w = weight(lam) + weight(mu)
-    if w > rows * cols:
+    if weight(lam) + weight(mu) > rows * cols:
         return ()
-    pairs = []
-    for nu in _partitions_of_weight(rows, cols)[w]:
-        if not contains(nu, lam) or not contains(nu, mu):
-            continue
-        c = _lr(lam, mu, nu)
-        if c:
-            pairs.append((nu, c))
-    return tuple(pairs)
+    return tuple(_strip_walk(lam, mu, (cols,) * rows).items())
 
 
 @lru_cache(maxsize=None)

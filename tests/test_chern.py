@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from curvecount import bundles
@@ -14,7 +16,17 @@ from curvecount.bundles import (
     rank,
 )
 from curvecount.chern import chern_classes, euler_class, segre_classes, total_chern
-from curvecount.chow import ProjBundle, grassmannian, integrate, pullback, sigma, unit, zeta
+from curvecount.chow import (
+    ProjBundle,
+    grassmannian,
+    integrate,
+    pullback,
+    sigma,
+    unit,
+    zero,
+    zeta,
+)
+from curvecount.symfunc import expand_linear_product, sym_power_roots, weight
 
 GR24 = grassmannian(2, 4)
 GR26 = grassmannian(2, 6)
@@ -164,3 +176,42 @@ def test_classes_above_the_dimension_are_zero():
     assert len(quot) == 14
     assert all(c.is_zero() for c in quot[12:])
     assert not quot[11].is_zero()
+
+
+def _jacobi_trudi(lam, h, space):
+    # s_lam = det(h_{lam_i - i + j}), expanded along the first row with ring
+    # products; h_k is zero for k < 0
+    def entry(i, j):
+        k = lam[i] - i + j
+        return h[k] if k >= 0 else zero(space)
+
+    def minor(i, cols):
+        if i == len(lam):
+            return unit(space)
+        total = zero(space)
+        for pos, j in enumerate(cols):
+            term = entry(i, j) * minor(i + 1, cols[:pos] + cols[pos + 1:])
+            total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    return minor(0, tuple(range(len(lam))))
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7)])
+def test_sym_classes_match_jacobi_trudi(k, n):
+    # c(Sym^d X) = sum_lam c_lam s_lam(X) with c_lam the Schur coefficients of
+    # the root product and s_lam(X) the Jacobi-Trudi determinant in the
+    # complete classes h_j = (-1)^j s_j(X), s_j the Segre classes
+    space = grassmannian(k, n)
+    S, Q = TautSub(), TautQuot()
+    for X in (S, Dual(S), Q, Dual(Q), Dual(Dual(S))):
+        r = rank(X, space)
+        h = [(-1) ** j * sj for j, sj in enumerate(segre_classes(X, space, space.dim))]
+        schur = {}
+        for d in (2, 3, 4):
+            expected = [zero(space)] * (comb(r + d - 1, d) + 1)
+            for lam, c in expand_linear_product(sym_power_roots(d, r), r, space.dim).items():
+                if lam not in schur:
+                    schur[lam] = _jacobi_trudi(lam, h, space)
+                expected[weight(lam)] = expected[weight(lam)] + c * schur[lam]
+            assert list(chern_classes(Sym(d, X), space)) == expected, (X, d)

@@ -142,6 +142,9 @@ def test_integrate_command(capsys):
                      {"num": "2", "den": "3"}, id="rational-scalar"),
         pytest.param("pbundle(sym(2,dual(S)),gr(3,6))", "1/2*zeta^8*c(3,S)^2",
                      {"num": "-2", "den": "1"}, id="conic-tower-rational-scalar"),
+        # a general Schubert class, lifted by Giambelli on the bott side
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,6))", "zeta^6 * s[3,3,2]",
+                     {"num": "-4", "den": "1"}, id="general-schubert-conic-tower"),
         # Sym of every argument kind: duals of S and Q, S and Q themselves,
         # a composite Sym, and twisted bundles on a tower
         pytest.param("gr(2,5)", "c(3,sym(2,dual(Q)))*s[1]^3",
@@ -152,6 +155,11 @@ def test_integrate_command(capsys):
                      {"num": "1715", "den": "1"}, id="sym-Q"),
         pytest.param("gr(2,5)", "c(3,sym(2,sym(2,dual(S))))*s[1]^3",
                      {"num": "920", "den": "1"}, id="sym-of-sym"),
+        # Sym of S and of Q* on a box with three rows and three columns
+        pytest.param("gr(3,6)", "c(4,sym(3,S))*s[1]^5",
+                     {"num": "12075", "den": "1"}, id="sym-S-gr36"),
+        pytest.param("gr(3,6)", "c(6,sym(2,dual(Q)))*s[1]^3",
+                     {"num": "16", "den": "1"}, id="sym-dual-Q-gr36"),
         pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
                      "c(3,sym(2,tensor(dual(S),o(1))))*zeta^5*s[1]^3",
                      {"num": "-2830", "den": "1"}, id="sym-tower-twist"),
@@ -188,20 +196,6 @@ def test_integrate_both_backends_agree(capsys, space, expr, value):
     rep = json.loads(out)
     assert rep["value"] == value
     assert rep["checks"][0]["pass"] is True
-
-
-def test_localization_rejects_general_schubert_atoms(capsys):
-    code, _, err = _run(
-        capsys,
-        "integrate",
-        "--space",
-        "pbundle(sym(2,dual(S)),gr(3,6))",
-        "--expr",
-        "zeta^6 * s[3,3,2]",
-        "--backend",
-        "bott",
-    )
-    assert code == 3
 
 
 def test_json_reports_have_no_floats(capsys):

@@ -113,6 +113,73 @@ def test_lr_agrees_with_pieri(lam, i):
         assert lr_coefficient(lam, partition([i]), nu) == expected
 
 
+def _reference_lr(lam, mu, nu):
+    # Littlewood-Richardson by direct search: column-strict fillings of nu/lam
+    # with content mu whose reverse reading word is a lattice word, cell by
+    # cell in reading order (rows top to bottom, each row right to left)
+    if weight(lam) + weight(mu) != weight(nu) or not contains(nu, lam):
+        return 0
+    if not mu:
+        return 1
+    nrows = len(nu)
+    lam_p = list(lam) + [0] * (nrows - len(lam))
+    cells = [(r, c) for r in range(nrows) for c in range(nu[r] - 1, lam_p[r] - 1, -1)]
+    mlen = len(mu)
+    counts = [0] * mlen
+    filling = [[0] * nu[r] for r in range(nrows)]
+    total = 0
+
+    def place(idx):
+        nonlocal total
+        if idx == len(cells):
+            total += 1
+            return
+        r, c = cells[idx]
+        right = filling[r][c + 1] if c + 1 < nu[r] else mlen
+        above = filling[r - 1][c] if r > 0 and c >= lam_p[r - 1] else 0
+        for v in range(above + 1, min(right, mlen) + 1):
+            if counts[v - 1] >= mu[v - 1]:
+                continue
+            # after placing v the count of v may not exceed the count of v-1
+            if v >= 2 and counts[v - 1] >= counts[v - 2]:
+                continue
+            counts[v - 1] += 1
+            filling[r][c] = v
+            place(idx + 1)
+            counts[v - 1] -= 1
+            filling[r][c] = 0
+
+    place(0)
+    return total
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 5), (3, 4), (3, 6), (4, 4)])
+def test_schubert_product_matches_the_skew_tableau_search(rows, cols):
+    box = enumerate_partitions(rows, cols)
+    for lam in box:
+        for mu in box:
+            expected = {}
+            for nu in box:
+                c = _reference_lr(lam, mu, nu)
+                if c:
+                    expected[nu] = c
+            assert dict(schubert_product(lam, mu, rows, cols)) == expected, (lam, mu)
+
+
+def test_lr_coefficient_matches_the_skew_tableau_search():
+    # every triple with |lam| + |mu| = |nu| <= 8; other weights are zero by
+    # test_lr_weight_mismatch_is_zero
+    by_weight = [[lam for lam in enumerate_partitions(n, n) if weight(lam) == n]
+                 for n in range(9)]
+    for n in range(9):
+        for nu in by_weight[n]:
+            for a in range(n + 1):
+                for lam in by_weight[a]:
+                    for mu in by_weight[n - a]:
+                        got = lr_coefficient(lam, mu, nu)
+                        assert got == _reference_lr(lam, mu, nu), (lam, mu, nu)
+
+
 def test_schubert_product_expands_in_box():
     prods = dict(schubert_product((1,), (1,), 2, 2))
     assert prods == {(2,): 1, (1, 1): 1}
