@@ -97,13 +97,20 @@ def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowEleme
     """(s_0, ..., s_up_to), the inverse power series of the total Chern class."""
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
-    cs = chern_classes(expr, space)
+    return _divide((chow.unit(space),), chern_classes(expr, space), space, up_to)
+
+
+def _divide(top_cs, sub_cs, space: Space, up_to: int) -> tuple[ChowElement, ...]:
+    """Degrees 0..up_to of the power series c(top) / c(sub), from the Chern
+    classes of both; c_0 is 1 on each side."""
     out = [chow.unit(space)]
-    for j in range(1, up_to + 1):
-        out.append(chow.sum_of_products(
-            space,
-            ((-1, cs[i], out[j - i]) for i in range(1, min(j, len(cs) - 1) + 1)),
-        ))
+    for k in range(1, up_to + 1):
+        terms = [
+            (-1, sub_cs[i], out[k - i]) for i in range(1, min(k, len(sub_cs) - 1) + 1)
+        ]
+        if k < len(top_cs):
+            terms.append((1, top_cs[k], None))
+        out.append(chow.sum_of_products(space, terms))
     return tuple(out)
 
 
@@ -176,14 +183,5 @@ def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[Cho
 def _quotient_classes(top: BundleExpr, sub: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
     rq = bundles.rank(top, space) - bundles.rank(sub, space)
     last = min(rq, space.dim)
-    top_cs = chern_classes(top, space)
-    sub_cs = chern_classes(sub, space)
-    out = [chow.unit(space)]
-    for k in range(1, last + 1):
-        terms = [
-            (-1, sub_cs[i], out[k - i]) for i in range(1, min(k, len(sub_cs) - 1) + 1)
-        ]
-        if k < len(top_cs):
-            terms.append((1, top_cs[k], None))
-        out.append(chow.sum_of_products(space, terms))
-    return tuple(out) + (chow.zero(space),) * (rq - last)
+    out = _divide(chern_classes(top, space), chern_classes(sub, space), space, last)
+    return out + (chow.zero(space),) * (rq - last)

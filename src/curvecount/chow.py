@@ -161,15 +161,6 @@ class ChowElement:
             self.space, tuple(s.degree_part(d - i) for i, s in enumerate(self.data))
         )
 
-    def degrees(self) -> set[int]:
-        """Degrees with a nonzero component."""
-        if isinstance(self.space, Grassmannian):
-            return {symfunc.weight(lam) for lam in self.data}
-        out: set[int] = set()
-        for i, s in enumerate(self.data):
-            out |= {i + d for d in s.degrees()}
-        return out
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "ChowElement") -> "ChowElement":

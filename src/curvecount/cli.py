@@ -1,19 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: argparse, the reports and the commands.
 
-Expression grammar (whitespace-insensitive; ^ binds tighter than *, which
-binds tighter than +):
-
-    expr    := term {"+" term}
-    term    := factor {"*" factor}
-    factor  := atom ["^" int]
-    atom    := "s[" int {"," int} "]" | "zeta" | rational
-             | "c(" int "," bundle ")" | "e(" bundle ")" | "(" expr ")"
-    bundle  := "S" | "Q" | "triv(" int ")" | "dual(" bundle ")"
-             | "sym(" int "," bundle ")" | "o(" int ")"
-             | "tensor(" bundle "," bundle ")" | "quot(" bundle "," bundle ")"
-    space   := "gr(" int "," int ")" | "pbundle(" bundle "," space ")"
-
-`sym(1,B)` is read as `B`.
+Expressions and spaces are read and written in the text form defined, with
+its grammar, in `curvecount.expr`.
 
 Exit codes: 0 success, 1 a reported check failed, 2 syntax error in an
 expression, space or table, or a usage error in the arguments, 3 semantic
@@ -26,261 +14,26 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import bott, bundles, chow, counts, gwdt, symfunc
+from . import bott, chow, counts, gwdt
 from . import expr as ex
-from .bundles import (
-    Dual,
-    InvalidBundleError,
-    RelO,
-    Sym,
-    TautQuot,
-    TautSub,
-    TensorLine,
-    Trivial,
-    WhitneyQuotient,
-)
-from .chow import ProjBundle, Space
+from .chow import Space
 from .counts import Check, HypersurfaceProblem
-
-
-class ExprSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"syntax error at position {position}: {message}")
-        self.position = position
+from .expr import ExprSyntaxError
 
 
 class SemanticError(ValueError):
     pass
 
 
-# -- tokenizer and recursive-descent parser --------------------------------
-
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>-?\d+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[-+*^()\[\],/]))")
-
-
-@dataclass
-class _Tokens:
-    text: str
-    pos: int = 0
-    items: list[tuple[str, str, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        i = 0
-        text = self.text
-        while i < len(text):
-            m = _TOKEN_RE.match(text, i)
-            if not m or m.end() == i:
-                stripped = text[i:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
-            i = m.end()
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("unexpected end of input", len(self.text))
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[1] != value:
-            raise ExprSyntaxError(f"expected {value!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
-
-
 def parse_expression(text: str) -> ex.ExprAst:
-    toks = _Tokens(text)
-    node = _parse_sum(toks)
-    if not toks.done():
-        tok = toks.peek()
-        raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return node
-
-
-def _parse_sum(toks: _Tokens) -> ex.ExprAst:
-    terms = [_parse_term(toks)]
-    while (tok := toks.peek()) and tok[1] == "+":
-        toks.next()
-        terms.append(_parse_term(toks))
-    return terms[0] if len(terms) == 1 else ex.Sum(tuple(terms))
-
-
-def _parse_term(toks: _Tokens) -> ex.ExprAst:
-    factors = [_parse_factor(toks)]
-    while (tok := toks.peek()) and tok[1] == "*":
-        toks.next()
-        factors.append(_parse_factor(toks))
-    return factors[0] if len(factors) == 1 else ex.Product(tuple(factors))
-
-
-def _parse_factor(toks: _Tokens) -> ex.ExprAst:
-    atom = _parse_atom(toks)
-    if (tok := toks.peek()) and tok[1] == "^":
-        toks.next()
-        kind, value, pos = toks.next()
-        if kind != "int":
-            raise ExprSyntaxError("exponent must be an integer", pos)
-        n = int(value)
-        if n < 0:
-            raise SemanticError("exponents must be nonnegative")
-        return ex.Power(atom, n)
-    return atom
-
-
-def _parse_atom(toks: _Tokens) -> ex.ExprAst:
-    kind, value, pos = toks.next()
-    if kind == "int":
-        num = int(value)
-        if (tok := toks.peek()) and tok[1] == "/":
-            toks.next()
-            dkind, dvalue, dpos = toks.next()
-            if dkind != "int":
-                raise ExprSyntaxError("denominator must be an integer", dpos)
-            den = int(dvalue)
-            if den == 0:
-                raise SemanticError("denominator must be nonzero")
-            return ex.rational(Fraction(num, den))
-        return ex.rational(num)
-    if value == "(":
-        node = _parse_sum(toks)
-        toks.expect(")")
-        return node
-    if value == "zeta":
-        return ex.Zeta()
-    if value == "s":
-        toks.expect("[")
-        parts = [_parse_int(toks)]
-        while (tok := toks.peek()) and tok[1] == ",":
-            toks.next()
-            parts.append(_parse_int(toks))
-        toks.expect("]")
-        try:
-            return ex.Schubert(symfunc.partition(parts))
-        except ValueError as err:
-            raise SemanticError(str(err)) from err
-    if value == "c":
-        toks.expect("(")
-        index = _parse_int(toks)
-        toks.expect(",")
-        bundle = _parse_bundle(toks)
-        toks.expect(")")
-        if index < 0:
-            raise SemanticError("Chern index must be nonnegative")
-        return ex.ChernClass(index, bundle)
-    if value == "e":
-        toks.expect("(")
-        bundle = _parse_bundle(toks)
-        toks.expect(")")
-        return ex.EulerClass(bundle)
-    raise ExprSyntaxError(f"unexpected token {value!r}", pos)
-
-
-def _parse_int(toks: _Tokens) -> int:
-    kind, value, pos = toks.next()
-    if kind != "int":
-        raise ExprSyntaxError(f"expected an integer, found {value!r}", pos)
-    return int(value)
-
-
-def _parse_bundle(toks: _Tokens) -> bundles.BundleExpr:
-    kind, value, pos = toks.next()
-    if value == "S":
-        return TautSub()
-    if value == "Q":
-        return TautQuot()
-    if value == "triv":
-        toks.expect("(")
-        r = _parse_int(toks)
-        toks.expect(")")
-        if r < 0:
-            raise SemanticError("trivial rank must be nonnegative")
-        return Trivial(r)
-    if value == "dual":
-        toks.expect("(")
-        arg = _parse_bundle(toks)
-        toks.expect(")")
-        return Dual(arg)
-    if value == "sym":
-        toks.expect("(")
-        d = _parse_int(toks)
-        toks.expect(",")
-        arg = _parse_bundle(toks)
-        toks.expect(")")
-        if d < 0:
-            raise SemanticError("symmetric power degree must be nonnegative")
-        # Sym^1 B is B; built as Sym it would send the symbolic engine through
-        # every Schur shape of weight up to the rank of B
-        return arg if d == 1 else Sym(d, arg)
-    if value == "o":
-        toks.expect("(")
-        k = _parse_int(toks)
-        toks.expect(")")
-        return RelO(k)
-    if value == "tensor":
-        toks.expect("(")
-        arg = _parse_bundle(toks)
-        toks.expect(",")
-        line = _parse_bundle(toks)
-        toks.expect(")")
-        return TensorLine(arg, line)
-    if value == "quot":
-        toks.expect("(")
-        top = _parse_bundle(toks)
-        toks.expect(",")
-        sub = _parse_bundle(toks)
-        toks.expect(")")
-        return WhitneyQuotient(top, sub)
-    raise ExprSyntaxError(f"unexpected bundle {value!r}", pos)
+    return ex.parse(text)
 
 
 def parse_space(text: str) -> Space:
-    toks = _Tokens(text)
-    space = _parse_space(toks)
-    if not toks.done():
-        tok = toks.peek()
-        raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return space
-
-
-def _parse_space(toks: _Tokens) -> Space:
-    kind, value, pos = toks.next()
-    if value == "gr":
-        toks.expect("(")
-        k = _parse_int(toks)
-        toks.expect(",")
-        n = _parse_int(toks)
-        toks.expect(")")
-        try:
-            return chow.grassmannian(k, n)
-        except ValueError as err:
-            raise SemanticError(str(err)) from err
-    if value == "pbundle":
-        toks.expect("(")
-        bundle = _parse_bundle(toks)
-        toks.expect(",")
-        base = _parse_space(toks)
-        toks.expect(")")
-        try:
-            return ProjBundle(base, bundle)
-        except (ValueError, InvalidBundleError) as err:
-            raise SemanticError(str(err)) from err
-    raise ExprSyntaxError(f"unexpected space {value!r}", pos)
+    return ex.parse(text, "space")
 
 
 # -- reports ----------------------------------------------------------------
@@ -346,7 +99,7 @@ def _cmd_integrate(args) -> int:
         checks.append(Check("backend agreement", symbolic, localized))
     rep = _report(
         "integrate",
-        space=ex.format_space(space),
+        space=ex.format_expr(space),
         expression=ex.format_expr(node),
         backend=args.backend,
         value=value,
@@ -375,7 +128,7 @@ def _cmd_count(args) -> int:
     ]
     rep = _report(
         "count",
-        space=ex.format_space(space),
+        space=ex.format_expr(space),
         expression=ex.format_expr(counts.count_integrand(problem)),
         backend="both",
         value=symbolic,

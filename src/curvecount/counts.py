@@ -213,7 +213,7 @@ def _euler_count(space, bundle, problem: HypersurfaceProblem, backend: str) -> F
     if total != space.dim:
         raise DegreeMismatchError(
             f"integrand degree {total} does not match dim {space.dim} of "
-            f"{ex.format_space(space)}; deficit {space.dim - total}"
+            f"{ex.format_expr(space)}; deficit {space.dim - total}"
         )
     integrand = count_integrand(problem)
     if backend == "symbolic":

@@ -89,25 +89,26 @@ def gw_from_dt(dt: InvariantTable) -> InvariantTable:
     """GW table on the same degrees; needs DT at every divisor."""
     if dt.label != "DT":
         raise ValueError("gw_from_dt wants a DT table")
-    values = {}
-    for m in dt.values:
-        values[m] = sum(
-            (dt[m // k] / Fraction(k * k) for k in _divisors(m)), Fraction(0)
-        )
-    return InvariantTable("GW", values)
+    return _cover_sum(dt, "GW", lambda k: 1)
 
 
 def dt_from_gw(gw: InvariantTable) -> InvariantTable:
     """Inverts gw_from_dt by Moebius inversion over the divisor lattice."""
     if gw.label != "GW":
         raise ValueError("dt_from_gw wants a GW table")
-    values = {}
-    for m in gw.values:
-        values[m] = sum(
-            (moebius(k) * gw[m // k] / Fraction(k * k) for k in _divisors(m)),
+    return _cover_sum(gw, "DT", moebius)
+
+
+def _cover_sum(table: InvariantTable, label: str, weight) -> InvariantTable:
+    """The `label` table of sums over k | m of weight(k) * table[m/k] / k^2."""
+    values = {
+        m: sum(
+            (weight(k) * table[m // k] / Fraction(k * k) for k in _divisors(m)),
             Fraction(0),
         )
-    return InvariantTable("DT", values)
+        for m in table.values
+    }
+    return InvariantTable(label, values)
 
 
 def aspinwall_morrison_factor(d: int) -> Fraction:

@@ -4,13 +4,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvecount import cli, counts, expr as ex, gwdt
-from curvecount.bundles import Dual, RelO, Sym, TautQuot, TautSub, TensorLine, Trivial, WhitneyQuotient
-from curvecount.chow import grassmannian
+from curvecount.bundles import (
+    BundleExpr, Dual, RelO, Sym, TautQuot, TautSub, TensorLine, Trivial, WhitneyQuotient,
+)
+from curvecount.chow import ProjBundle, Space, grassmannian
 from curvecount.cli import ExprSyntaxError, parse_expression, parse_space
 
 
@@ -55,10 +58,51 @@ def expr_nodes(depth):
     )
 
 
+def _tower(bundle, base):
+    try:
+        return ProjBundle(base, bundle)
+    except ValueError:  # the bundle has no positive rank on this base
+        return None
+
+
+def space_nodes(depth):
+    leaf = st.builds(lambda k, cols: grassmannian(k, k + cols),
+                     st.integers(1, 4), st.integers(1, 4))
+    if depth == 0:
+        return leaf
+    tower = st.builds(_tower, bundle_nodes(1), space_nodes(depth - 1))
+    return st.one_of(leaf, tower.filter(lambda space: space is not None))
+
+
 @given(expr_nodes(2))
 @settings(max_examples=80, deadline=None)
 def test_format_parse_roundtrip(node):
     assert parse_expression(ex.format_expr(node)) == node
+
+
+@given(space_nodes(2))
+@settings(max_examples=80, deadline=None)
+def test_space_format_parse_roundtrip(space):
+    assert parse_space(ex.format_expr(space)) == space
+
+
+def test_every_constructor_is_read_and_written():
+    # every atom, bundle and space class has exactly one entry
+    nodes = [c.node for c in ex.CONSTRUCTORS.values()]
+    assert sorted(nodes, key=str) == sorted(
+        {ex.Zeta, ex.ChernClass, ex.EulerClass, *get_args(BundleExpr), *get_args(Space)},
+        key=str,
+    )
+    samples = {"bundle": TautQuot(), "space": grassmannian(2, 4)}
+    for name, entry in ex.CONSTRUCTORS.items():
+        ints = iter((2, 4))  # gr(2,4), and sym(2,Q) stays a Sym
+        node = entry.node(**{
+            field: next(ints) if sort == "int" else samples[sort]
+            for field, sort in entry.fields
+        })
+        text = ex.format_expr(node)
+        assert text == name or text.startswith(name + "("), text
+        assert ex.parse(text, entry.sort) == node, text
 
 
 def test_parse_whitespace_and_precedence():
@@ -233,6 +277,31 @@ def test_semantic_error_exit_code(capsys):
     )
     assert code == 3
     assert err == "error: quotient weights are not contained in the ambient bundle\n"
+
+
+@pytest.mark.parametrize(
+    "space,expr,build",
+    [
+        ("gr(2,4)", "e(triv(-1))", lambda: ex.EulerClass(Trivial(-1))),
+        ("gr(2,4)", "c(1,sym(-1,S))", lambda: ex.ChernClass(1, Sym(-1, TautSub()))),
+        ("gr(2,4)", "c(-1,S)", lambda: ex.ChernClass(-1, TautSub())),
+        ("gr(2,4)", "s[1]^-1", lambda: ex.Power(ex.Schubert((1,)), -1)),
+        ("gr(2,4)", "1/0", lambda: ex.rational(1, 0)),
+        ("gr(2,4)", "s[1,2]", lambda: ex.Schubert((1, 2))),
+        ("gr(9,6)", "s[1]", lambda: grassmannian(9, 6)),
+    ],
+    ids=["triv-rank", "sym-degree", "chern-index", "exponent", "denominator",
+         "increasing-schubert", "grassmannian"],
+)
+def test_refusals_read_the_same_from_text_and_code(capsys, space, expr, build):
+    with pytest.raises(ValueError) as refused:
+        build()
+    for backend in ("symbolic", "bott", "both"):
+        code, _, err = _run(
+            capsys, "integrate", "--space", space, "--expr", expr, "--backend", backend,
+        )
+        assert code == 3
+        assert err == f"error: {refused.value}\n"
 
 
 @pytest.mark.parametrize(
