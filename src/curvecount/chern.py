@@ -15,16 +15,31 @@ Evaluation rules:
   complete classes h_j = (-1)^j s_j, s_j its Segre classes;
 - twists by a line bundle use c_k(E ox L) =
   sum_i binom(rank E - i, k - i) c_i(E) c1(L)^(k-i);
-- quotients divide total Chern classes as truncated power series;
+- quotients multiply by the Segre series of the sub:
+  c_k(top / sub) = sum_i c_(k-i)(top) s_i(sub), for k up to the rank;
 - the relative O(k) of a projective bundle has c1 = k * zeta.
+
+Segre classes, s = 1 / c, follow three rules:
+
+- a bundle that does not mention the relative O(k) takes the series of the
+  base, pulled back;
+- a twist uses s_k(E ox L) = sum_j (-1)^(k-j) binom(e+k-1, k-j) s_j(E) l^(k-j),
+  with e = rank E and l = c1(L), the degree-k part of
+  sum_j s_j(E) (1 + l)^(-e-j), so the twisted bundle's own Chern classes are
+  never built;
+- any other bundle takes the inverse series, s_k = -sum_{i>=1} c_i s_(k-i).
+
+On a tower the twist's s_j(E) and the quotient's c(top) are then mostly
+pulled-back classes, and a pulled-back class times a tower element costs one
+base product per slot instead of one per pair of slots.
 
 Everything on a projective bundle that does not mention the relative O(k) is
 evaluated on the base and pulled back, so the root expansion always runs at
 the smallest possible truncation.  Classes above the dimension of the space
 are zero: they are not computed, and the tuple is padded with zero classes
 up to the rank.  Each class is built as one `chow.sum_of_products`, so the
-tower relation is applied once per class.  Results are cached per
-(expression, space).
+tower relation is applied once per class.  Chern classes and Segre series
+are cached per (expression, space).
 """
 
 from __future__ import annotations
@@ -97,21 +112,50 @@ def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowEleme
     """(s_0, ..., s_up_to), the inverse power series of the total Chern class."""
     if up_to < 0:
         raise ValueError("up_to must be nonnegative")
-    return _divide((chow.unit(space),), chern_classes(expr, space), space, up_to)
+    ss = _segre_series(expr, space)
+    return ss[: up_to + 1] + (chow.zero(space),) * (up_to + 1 - len(ss))
 
 
-def _divide(top_cs, sub_cs, space: Space, up_to: int) -> tuple[ChowElement, ...]:
-    """Degrees 0..up_to of the power series c(top) / c(sub), from the Chern
-    classes of both; c_0 is 1 on each side."""
+@lru_cache(maxsize=None)
+def _segre_series(expr: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
+    """(s_0, ..., s_dim) of `expr` on `space`; higher classes are zero."""
+    if isinstance(space, ProjBundle) and not bundles.mentions_rel(expr):
+        base = tuple(chow.pullback(space, s) for s in _segre_series(expr, space.base))
+        return base + (chow.zero(space),) * (space.dim + 1 - len(base))
+
+    if isinstance(expr, TensorLine):
+        # s(E ox L) = sum_j s_j(E) (1 + l)^(-e-j); bundles.rank checks that
+        # L is a line, and e = rank E
+        e = bundles.rank(expr, space)
+        arg_ss = _segre_series(expr.arg, space)
+        ell_pows = _line_powers(expr.line, space, space.dim)
+        return (chow.unit(space),) + tuple(
+            chow.sum_of_products(space, (
+                ((-1) ** (k - j) * comb(e + k - 1, k - j), arg_ss[j], ell_pows[k - j])
+                for j in range(k + 1)
+            ))
+            for k in range(1, space.dim + 1)
+        )
+
+    # the inverse series: s_k = -sum_{i=1}^{k} c_i s_(k-i)
+    cs = chern_classes(expr, space)
     out = [chow.unit(space)]
-    for k in range(1, up_to + 1):
-        terms = [
-            (-1, sub_cs[i], out[k - i]) for i in range(1, min(k, len(sub_cs) - 1) + 1)
-        ]
-        if k < len(top_cs):
-            terms.append((1, top_cs[k], None))
-        out.append(chow.sum_of_products(space, terms))
+    for k in range(1, space.dim + 1):
+        out.append(
+            chow.sum_of_products(
+                space, ((-1, cs[i], out[k - i]) for i in range(1, min(k, len(cs) - 1) + 1))
+            )
+        )
     return tuple(out)
+
+
+def _line_powers(line: BundleExpr, space: Space, top: int) -> list[ChowElement]:
+    """[1, l, ..., l^top] for l = c1(line)."""
+    ell = chern_classes(line, space)[1]
+    pows = [chow.unit(space)]
+    for _ in range(top):
+        pows.append(pows[-1] * ell)
+    return pows
 
 
 def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
@@ -166,10 +210,7 @@ def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[Cho
     re = bundles.rank(arg, space)
     top = min(re, space.dim)
     arg_cs = chern_classes(arg, space)
-    ell = chern_classes(line, space)[1]
-    ell_pows = [chow.unit(space)]
-    for _ in range(top):
-        ell_pows.append(ell_pows[-1] * ell)
+    ell_pows = _line_powers(line, space, top)
     out = [
         chow.sum_of_products(
             space,
@@ -181,7 +222,14 @@ def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[Cho
 
 
 def _quotient_classes(top: BundleExpr, sub: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
+    # c(top / sub) = c(top) s(sub), read up to the rank of the quotient,
+    # which is at most the rank of top
     rq = bundles.rank(top, space) - bundles.rank(sub, space)
     last = min(rq, space.dim)
-    out = _divide(chern_classes(top, space), chern_classes(sub, space), space, last)
+    top_cs = chern_classes(top, space)
+    sub_ss = _segre_series(sub, space)
+    out = tuple(
+        chow.sum_of_products(space, ((1, top_cs[k - i], sub_ss[i]) for i in range(k + 1)))
+        for k in range(last + 1)
+    )
     return out + (chow.zero(space),) * (rq - last)

@@ -145,17 +145,20 @@ def _cmd_ledger(args) -> int:
 
 def _parse_table(text: str, label: str) -> gwdt.InvariantTable:
     values: dict[int, Fraction] = {}
-    for item in text.split(","):
-        item = item.strip()
+    end = -1  # offset of the comma before the current entry
+    for raw in text.split(","):
+        start = end + 1 + len(raw) - len(raw.lstrip())
+        end += 1 + len(raw)
+        item = raw.strip()
         if not item:
             continue
         if "=" not in item:
-            raise ExprSyntaxError(f"expected degree=value, found {item!r}", 0)
+            raise ExprSyntaxError(f"expected degree=value, found {item!r}", start)
         deg, _, val = item.partition("=")
         try:
             degree, value = int(deg), Fraction(val)
         except (ValueError, ZeroDivisionError) as err:
-            raise ExprSyntaxError(f"bad table entry {item!r}: {err}", 0) from err
+            raise ExprSyntaxError(f"bad table entry {item!r}: {err}", start) from err
         if degree in values:
             raise SemanticError(f"degree {degree} appears twice in the {label} table")
         values[degree] = value

@@ -121,31 +121,54 @@ def test_rel_o_first_chern_is_twist_times_zeta():
     assert chern_classes(RelO(0), CONICS)[1].is_zero()
 
 
-def test_whitney_quotient_classes():
+# a projective bundle over the conic tower whose own bundle mentions the
+# conic tower's O(1); an o(k) in an expression on it is the top level's
+TOWER2 = ProjBundle(CONICS, TensorLine(Dual(TautSub()), RelO(1)))
+NESTED_TWIST = TensorLine(TensorLine(Dual(TautSub()), RelO(1)), RelO(1))
+
+
+# each (top, sub, space) is an inclusion, or has a quotient rank of at least
+# the dimension, so that the product rule drops no class
+@pytest.mark.parametrize("top,sub,space", [
+    pytest.param(SEXTIC_RESTRICTION, SEXTIC_VANISHING, CONICS, id="conic-twist"),
+    # S* (x) O(-1) sits in Sym^3 S*; the sub does not mention O(k)
+    pytest.param(TensorLine(Sym(3, Dual(TautSub())), RelO(1)), Dual(TautSub()),
+                 CONICS, id="pullback"),
+    # Sym^2 S* (x) O(-1) sits in Sym^4 S*, twisted by O(3)
+    pytest.param(TensorLine(Sym(4, Dual(TautSub())), RelO(3)),
+                 TensorLine(Sym(2, Dual(TautSub())), RelO(2)), CONICS, id="twist-o2"),
+    pytest.param(Sym(5, Dual(TautSub())), NESTED_TWIST, TOWER2, id="nested-twist"),
+    pytest.param(Trivial(6), Dual(TautQuot()), GR36, id="grassmannian"),
+])
+def test_whitney_quotient_classes(top, sub, space):
     # the defining sequence forces c(sub) c(quot) = c(total)
-    sub_total = total_chern(SEXTIC_VANISHING, CONICS)
-    quot_total = total_chern(SEXTIC_OBSTRUCTION, CONICS)
-    assert sub_total * quot_total == total_chern(SEXTIC_RESTRICTION, CONICS)
+    sub_total = total_chern(sub, space)
+    quot_total = total_chern(WhitneyQuotient(top, sub), space)
+    assert sub_total * quot_total == total_chern(top, space)
 
 
-def test_segre_inverts_chern():
-    ss = segre_classes(TautSub(), GR24, 4)
-    c1 = -1 * sigma(GR24, (1,))
-    c2 = sigma(GR24, (1, 1))
-    assert ss[1] == -1 * c1
-    assert ss[2] == c1 * c1 - c2
-    total = total_chern(TautSub(), GR24)
-    segre_sum = ss[0] + ss[1] + ss[2] + ss[3] + ss[4]
-    product = total * segre_sum
-    assert product.degree_part(0) == unit(GR24)
-    for d in range(1, 5):
-        assert product.degree_part(d).is_zero()
+@pytest.mark.parametrize("expr,space", [
+    pytest.param(TautSub(), GR24, id="grassmannian"),
+    # on Gr(1,4) the sub is a line, so the pulled-back class is a twist
+    pytest.param(TensorLine(TautQuot(), Dual(TautSub())),
+                 ProjBundle(grassmannian(1, 4), TautQuot()), id="pullback"),
+    pytest.param(SEXTIC_VANISHING, CONICS, id="conic-twist"),
+    pytest.param(TensorLine(Dual(TautSub()), RelO(2)), CONICS, id="twist-o2"),
+    pytest.param(NESTED_TWIST, TOWER2, id="nested-twist"),
+])
+def test_segre_inverts_chern(expr, space):
+    # c * s = 1, with every class above the dimension zero
+    ss = segre_classes(expr, space, space.dim + 2)
+    assert all(s.is_zero() for s in ss[space.dim + 1:])
+    assert total_chern(expr, space) * sum(ss[1:], ss[0]) == unit(space)
 
 
 def test_segre_of_sub_are_single_row_classes():
     ss = segre_classes(TautSub(), GR24, 2)
-    assert ss[1] == sigma(GR24, (1,))
-    assert ss[2] == sigma(GR24, (2,))
+    c1 = -1 * sigma(GR24, (1,))
+    c2 = sigma(GR24, (1, 1))
+    assert ss[1] == sigma(GR24, (1,)) == -1 * c1
+    assert ss[2] == sigma(GR24, (2,)) == c1 * c1 - c2
 
 
 def test_euler_class_of_cubic_surface_bundle():

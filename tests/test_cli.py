@@ -400,6 +400,13 @@ def test_gwdt_missing_divisor_is_semantic(capsys):
     code, _, err = _run(capsys, "gwdt", "--gw", "")
     assert code == 3
     assert err == "error: the GW table is empty\n"
+    # a malformed entry is a syntax error at the 0-based offset where it starts
+    code, _, err = _run(capsys, "gwdt", "--dt", "1=60480, 2=x")
+    assert code == 2
+    assert err.startswith("error: syntax error at position 9: bad table entry '2=x'")
+    code, _, err = _run(capsys, "gwdt", "--gw", "1=5,,  2/3")
+    assert code == 2
+    assert err.startswith("error: syntax error at position 7: expected degree=value")
 
 
 def test_am_verify_command(capsys):

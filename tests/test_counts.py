@@ -85,13 +85,14 @@ def test_sextic_fourfold_counts(backend):
     assert count_conics(conics, backend) == 440884080
 
 
+@pytest.mark.parametrize("backend", ["symbolic", "bott"])
 @pytest.mark.parametrize(
     "ambient,degree,expected",
     [(6, 8, 21553784182784), (8, 11, 6879170927773883986896)],
 )
-def test_localization_conic_ladder(ambient, degree, expected):
+def test_conic_ladder(ambient, degree, expected, backend):
     # the benchmark's pinned values, on which both engines agreed
-    assert count_conics(HypersurfaceProblem(ambient, degree, 2), "bott") == expected
+    assert count_conics(HypersurfaceProblem(ambient, degree, 2), backend) == expected
 
 
 def test_counts_are_integers():
