@@ -55,7 +55,6 @@ from .counts import (
     count_curves,
     count_lines,
     dimension_ledger,
-    incidence_class,
     line_obstruction,
     line_space,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "euler_class",
     "grassmannian",
     "gw_from_dt",
-    "incidence_class",
     "integrate",
     "line_obstruction",
     "line_space",

@@ -85,6 +85,13 @@ def _emit(rep: dict, as_json: bool, show_value: bool = True) -> int:
 def _cmd_integrate(args) -> int:
     space = parse_space(args.space)
     node = parse_expression(args.expr)
+    # refused before either engine runs: above the top degree the symbolic
+    # engine reads 0 and the localization sum depends on the weights
+    top = ex.degree(node, space)
+    if top > space.dim:
+        raise counts.DegreeMismatchError(
+            f"integrand degree {top} exceeds dim {space.dim} of {ex.format_expr(space)}"
+        )
     checks = []
     if args.backend in ("symbolic", "both"):
         symbolic = chow.integrate(ex.evaluate(node, space))
@@ -109,27 +116,19 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    problem = HypersurfaceProblem(
-        ambient_dim=args.ambient,
-        degree=args.degree,
-        curve_degree=1 if args.kind == "lines" else 2,
-        insertion_codim=args.incidence,
-    )
+    curve_degree = next(d for d, f in counts.FAMILIES.items() if f.name == args.kind)
+    problem = HypersurfaceProblem(args.ambient, args.degree, curve_degree,
+                                  args.incidence)
     symbolic = counts.count_curves(problem, "symbolic")
     localized = counts.count_curves(problem, "bott")
-    space = (
-        counts.line_space(problem.ambient_dim)
-        if problem.curve_degree == 1
-        else counts.conic_space(problem.ambient_dim)
-    )
     checks = [
         Check("backend agreement", symbolic, localized),
         Check("integer count", 1, symbolic.denominator),
     ]
     rep = _report(
         "count",
-        space=ex.format_expr(space),
-        expression=ex.format_expr(counts.count_integrand(problem)),
+        space=ex.format_expr(problem.space),
+        expression=ex.format_expr(problem.integrand),
         backend="both",
         value=symbolic,
         checks=checks,
@@ -238,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.set_defaults(func=_cmd_integrate)
 
     p_count = sub.add_parser("count", help="count lines or conics on a hypersurface")
-    p_count.add_argument("kind", choices=("lines", "conics"))
+    p_count.add_argument("kind", choices=[f.name for f in counts.FAMILIES.values()])
     p_count.add_argument("--ambient", type=int, required=True,
                          help="dimension n of the ambient projective space")
     p_count.add_argument("--degree", type=int, required=True)

@@ -1,19 +1,22 @@
 """Counting lines and conics on generic projective hypersurfaces.
 
 A degree-d hypersurface in P^n is cut by a section of Sym^d of the dual
-tautological bundle on the relevant parameter space:
+tautological bundle on the relevant parameter space.  Each curve family is
+one entry of `FAMILIES`, keyed by curve degree:
 
 - lines: Gr(2, n+1), obstruction bundle Sym^d(S*);
 - conics: the P(Sym^2 S*) bundle over Gr(3, n+1), whose points are a plane
   together with a conic in it, with obstruction bundle
   Sym^d(S*) / (O(-1) ox Sym^(d-2)(S*)) of rank 2d + 1.
 
-The count is the integral of the Euler class of the obstruction bundle,
-optionally cut down by the class of curves meeting a fixed codimension-two
-linear subspace.  That incidence class is sigma_1 for lines and
-zeta + 2*sigma_1 for conics; both are re-derived here from the universal
-curve by pushing its divisor class against the square of the hyperplane,
-so the hard-coded classes never drift from the geometry.
+A `HypersurfaceProblem` reads its moduli space, obstruction and integrand
+off its family.  The count is the integral of the Euler class of the
+obstruction bundle, optionally cut down by the class of curves meeting a
+fixed codimension-k linear subspace.  That class is derived, with no ring
+arithmetic, from the family's universal curve [C] in P(S) over the moduli:
+[C] * h^k pushed down by the projection formula, as an expression tree that
+both engines integrate and neither built.  The acceptance checks compare it
+with the same pushforward taken in the Chow ring.
 
 Counts are computed by the symbolic Schubert backend or by fixed-point
 localization; the two share no arithmetic, and the test suite insists they
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable, NamedTuple
 
 from . import bott, bundles, chern, chow, gwdt
 from . import expr as ex
@@ -36,6 +40,42 @@ from .chow import ChowElement, Grassmannian, ProjBundle, Space
 
 class DegreeMismatchError(ValueError):
     """Integrand degree does not match the parameter-space dimension."""
+
+
+class CurveFamily(NamedTuple):
+    """The geometry of one kind of rational curve in P^n."""
+
+    name: str  # as the command line spells it
+    space: Callable[[int], Space]  # the moduli of the curves in P^n, from n
+    obstruction: Callable[[int], bundles.BundleExpr]  # sections of O(d) on a curve
+    # the universal curve [C] in P(S) over the moduli, as the terms (c, a, b)
+    # of sum c * zeta_M^a * h^b, where zeta_M is the relative hyperplane class
+    # of the moduli and h the hyperplane class of the point
+    curve: tuple[tuple[int, int, int], ...]
+
+
+FAMILIES = {
+    1: CurveFamily(
+        "lines",
+        lambda n: Grassmannian(2, n + 1),
+        lambda d: Sym(d, Dual(TautSub())),
+        # the universal line is all of P(S)
+        ((1, 0, 0),),
+    ),
+    2: CurveFamily(
+        "conics",
+        # a plane of P^n and a conic in it
+        lambda n: ProjBundle(Grassmannian(3, n + 1), Sym(2, Dual(TautSub()))),
+        # degree-d forms on the plane modulo the ideal of the conic
+        lambda d: WhitneyQuotient(
+            Sym(d, Dual(TautSub())),
+            TensorLine(Sym(d - 2, Dual(TautSub())), RelO(-1)),
+        ),
+        # the zero locus of the conic's equation at the point, a section of
+        # O_fiber(1) ox O_point(2)
+        ((1, 1, 0), (2, 0, 1)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +92,7 @@ class HypersurfaceProblem:
     def __post_init__(self):
         if self.ambient_dim < 2:
             raise ValueError("ambient projective space must have dimension >= 2")
-        if self.curve_degree not in (1, 2):
+        if self.curve_degree not in FAMILIES:
             raise ValueError("only lines and conics are supported")
         if self.insertion_codim not in (0, 2):
             raise ValueError("insertion codimension must be 0 or 2")
@@ -64,163 +104,121 @@ class HypersurfaceProblem:
         if self.degree < 1:
             raise ValueError("hypersurface degree must be positive")
 
+    @property
+    def family(self) -> CurveFamily:
+        return FAMILIES[self.curve_degree]
 
-def line_space(ambient_dim: int) -> Grassmannian:
-    """Lines in P^n are Gr(2, n+1)."""
-    return chow.grassmannian(2, ambient_dim + 1)
+    @property
+    def space(self) -> Space:
+        return self.family.space(self.ambient_dim)
 
+    @property
+    def obstruction(self) -> bundles.BundleExpr:
+        return self.family.obstruction(self.degree)
 
-def conic_space(ambient_dim: int) -> ProjBundle:
-    """Plane conics in P^n: the bundle of conics in a variable plane."""
-    return ProjBundle(chow.grassmannian(3, ambient_dim + 1), Sym(2, Dual(TautSub())))
+    @property
+    def incidence(self) -> ex.ExprAst:
+        """Class of the curves meeting a fixed codimension-k linear subspace,
+        k = `insertion_codim`: [C] * h^k pushed down from P(S) by the
+        projection formula pi_*(zeta_M^a * h^b) = zeta_M^a * sigma_(b-r+1),
+        with r = rank S and sigma_(i) = s_i(S) the special Schubert class."""
+        r = bundles.rank(TautSub(), self.space)
+        terms = []
+        for c, a, b in self.family.curve:
+            i = b + self.insertion_codim - r + 1
+            if i >= 0:  # sigma_(i) vanishes for i < 0
+                f = [ex.rational(c)] * (c != 1) + [ex.Zeta()] * a
+                f += [ex.Schubert((i,))] * (i > 0)
+                terms.append(f[0] if len(f) == 1 else ex.Product(tuple(f)))
+        return terms[0] if len(terms) == 1 else ex.Sum(tuple(terms))
 
-
-def line_obstruction(degree: int):
-    return Sym(degree, Dual(TautSub()))
-
-
-def conic_obstruction(degree: int):
-    """Sections of O(degree) on the universal conic: degree-d forms on the
-    plane modulo the ideal generated by the conic equation."""
-    return WhitneyQuotient(
-        Sym(degree, Dual(TautSub())),
-        TensorLine(Sym(degree - 2, Dual(TautSub())), RelO(-1)),
-    )
-
-
-def incidence_class(space: Space, curve_degree: int) -> ChowElement:
-    """Class of curves meeting a fixed codimension-two linear subspace."""
-    ast = incidence_expr(curve_degree)
-    _check_curve_space(space, curve_degree)
-    return ex.evaluate(ast, space)
-
-
-def incidence_expr(curve_degree: int) -> ex.ExprAst:
-    if curve_degree == 1:
-        return ex.Schubert((1,))
-    if curve_degree == 2:
-        return ex.Sum((ex.Zeta(), ex.Product((ex.rational(2), ex.Schubert((1,))))))
-    raise ValueError("only lines and conics are supported")
+    @property
+    def integrand(self) -> ex.ExprAst:
+        """e(obstruction), times the incidence class when there is an insertion."""
+        euler = (ex.EulerClass(self.obstruction),)
+        return ex.Product(euler + (self.incidence,) if self.insertion_codim else euler)
 
 
-def _check_curve_space(space: Space, curve_degree: int) -> None:
-    if curve_degree == 1 and not isinstance(space, Grassmannian):
-        raise chow.SpaceMismatchError("line moduli must be a Grassmannian")
-    if curve_degree == 2 and not (
-        isinstance(space, ProjBundle)
-        and space.bundle == Sym(2, Dual(TautSub()))
-        and isinstance(space.base, Grassmannian)
-        and space.base.k == 3
-    ):
-        raise chow.SpaceMismatchError(
-            "conic moduli must be the conics-in-a-plane bundle over Gr(3, n+1)"
-        )
+# the families' spaces and bundles under their own names
+line_space, line_obstruction = FAMILIES[1].space, FAMILIES[1].obstruction
+conic_space, conic_obstruction = FAMILIES[2].space, FAMILIES[2].obstruction
 
 
-# -- universal-curve derivation of the incidence classes ------------------
+# -- the universal curve, in the Chow ring ---------------------------------
 
 
-def universal_curve_space(ambient_dim: int, curve_degree: int) -> ProjBundle:
+def universal_curve_space(problem: HypersurfaceProblem) -> ProjBundle:
     """Points-on-curves ambient: the plane P(S) over the curve moduli."""
-    if curve_degree == 1:
-        return ProjBundle(line_space(ambient_dim), TautSub())
-    if curve_degree == 2:
-        return ProjBundle(conic_space(ambient_dim), TautSub())
-    raise ValueError("only lines and conics are supported")
+    return ProjBundle(problem.space, TautSub())
 
 
-def universal_curve_class(ambient_dim: int, curve_degree: int) -> ChowElement:
-    """Divisor class of the universal curve inside its ambient bundle.
-
-    For lines the universal line is all of P(S).  For conics it is the zero
-    locus of the evaluation of the conic at the point, a section of
-    O_fiber(1) ox O_point(2), so the class is zeta_conics + 2 * h_point.
-    """
-    amb = universal_curve_space(ambient_dim, curve_degree)
-    if curve_degree == 1:
-        return chow.unit(amb)
-    conic_zeta = chow.pullback(amb, chow.zeta(amb.base))
-    return conic_zeta + 2 * chow.zeta(amb)
-
-
-def incidence_from_universal_curve(ambient_dim: int, curve_degree: int) -> ChowElement:
-    """Independent derivation: push [universal curve] * h^2 down to the moduli.
-
-    h is the hyperplane class of the ambient projective space restricted to
-    the point-of-the-curve factor, i.e. the relative class of P(S)."""
-    amb = universal_curve_space(ambient_dim, curve_degree)
+def universal_curve_class(problem: HypersurfaceProblem) -> ChowElement:
+    """The family's universal-curve class [C] in the Chow ring of P(S)."""
+    amb = universal_curve_space(problem)
     h = chow.zeta(amb)
-    cls = universal_curve_class(ambient_dim, curve_degree) * h * h
+    out = chow.zero(amb)
+    for c, a, b in problem.family.curve:
+        term = c * h**b
+        if a:  # only a moduli that is itself a projective bundle has a zeta
+            term = term * chow.pullback(amb, chow.zeta(amb.base)) ** a
+        out = out + term
+    return out
+
+
+def incidence_from_universal_curve(problem: HypersurfaceProblem) -> ChowElement:
+    """The incidence class pushed down in the Chow ring: [C] * h^k on P(S),
+    k = `insertion_codim`, with h the hyperplane class of the point."""
+    amb = universal_curve_space(problem)
+    cls = universal_curve_class(problem) * chow.zeta(amb) ** problem.insertion_codim
     return chow.pushforward(cls)
 
 
-def curve_plane_degree(ambient_dim: int, curve_degree: int) -> Fraction:
-    """Fiberwise degree of the universal curve: pushforward of [curve] * h
-    must be `curve_degree` times the unit of the moduli."""
-    amb = universal_curve_space(ambient_dim, curve_degree)
-    down = chow.pushforward(
-        universal_curve_class(ambient_dim, curve_degree) * chow.zeta(amb)
-    )
-    if not (down - down.degree_part(0)).is_zero():
+def curve_plane_degree(problem: HypersurfaceProblem) -> Fraction:
+    """Fiberwise degree of the universal curve: the pushforward of [C] * h,
+    which must be a constant times the unit of the moduli."""
+    h = chow.zeta(universal_curve_space(problem))
+    down = chow.pushforward(universal_curve_class(problem) * h)
+    constant = down
+    while not isinstance(constant.space, Grassmannian):
+        constant = constant.data[0]  # the zeta^0 slot of a tower element
+    degree = constant.coefficient(())
+    if down != degree * chow.unit(down.space):
         raise ArithmeticError("fiber degree is not constant over the moduli")
-    for d in (0, 1, 2):
-        if down == d * chow.unit(amb.base):
-            return Fraction(d)
-    raise ArithmeticError("unexpected fiber degree")
+    return degree
 
 
 # -- the counts ------------------------------------------------------------
 
 
 def count_curves(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
-    if problem.curve_degree == 1:
-        return count_lines(problem, backend)
-    return count_conics(problem, backend)
+    """Curves of the problem's family on a generic hypersurface, optionally
+    meeting a codim-2 plane: the integral of `problem.integrand`."""
+    space, integrand = problem.space, problem.integrand
+    total = ex.degree(integrand, space)
+    if total != space.dim:
+        raise DegreeMismatchError(
+            f"integrand degree {total} does not match dim {space.dim} of "
+            f"{ex.format_expr(space)}; deficit {space.dim - total}"
+        )
+    if backend == "symbolic":
+        return chow.integrate(ex.evaluate(integrand, space))
+    if backend == "bott":
+        return bott.bott_integrate(space, integrand)
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def count_lines(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
     """Lines on a generic hypersurface, optionally meeting a codim-2 plane."""
     if problem.curve_degree != 1:
         raise ValueError("count_lines needs a line problem")
-    space = line_space(problem.ambient_dim)
-    return _euler_count(space, line_obstruction(problem.degree), problem, backend)
+    return count_curves(problem, backend)
 
 
 def count_conics(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
     """Plane conics on a generic hypersurface, optionally meeting a codim-2 plane."""
     if problem.curve_degree != 2:
         raise ValueError("count_conics needs a conic problem")
-    space = conic_space(problem.ambient_dim)
-    return _euler_count(space, conic_obstruction(problem.degree), problem, backend)
-
-
-def count_integrand(problem: HypersurfaceProblem) -> ex.ExprAst:
-    """The integrand e(obstruction) * incidence as an expression tree."""
-    bundle = (
-        line_obstruction(problem.degree)
-        if problem.curve_degree == 1
-        else conic_obstruction(problem.degree)
-    )
-    factors: tuple[ex.ExprAst, ...] = (ex.EulerClass(bundle),)
-    if problem.insertion_codim == 2:
-        factors = factors + (incidence_expr(problem.curve_degree),)
-    return ex.Product(factors)
-
-
-def _euler_count(space, bundle, problem: HypersurfaceProblem, backend: str) -> Fraction:
-    insertion_degree = 1 if problem.insertion_codim == 2 else 0
-    total = bundles.rank(bundle, space) + insertion_degree
-    if total != space.dim:
-        raise DegreeMismatchError(
-            f"integrand degree {total} does not match dim {space.dim} of "
-            f"{ex.format_expr(space)}; deficit {space.dim - total}"
-        )
-    integrand = count_integrand(problem)
-    if backend == "symbolic":
-        return chow.integrate(ex.evaluate(integrand, space))
-    if backend == "bott":
-        return bott.bott_integrate(space, integrand)
-    raise ValueError(f"unknown backend {backend!r}")
+    return count_curves(problem, backend)
 
 
 # -- checks ----------------------------------------------------------------
@@ -246,13 +244,16 @@ DEGENERATE_CONIC_ASSUMPTION = (
 
 
 def dimension_ledger() -> list[Check]:
-    """Consistency checks for the sextic-fourfold conic count, each recomputed
-    from first principles and compared against its expected value."""
-    sections = comb(5 + 6, 6)
-    restriction = 2 * 6 + 1
+    """Consistency checks for the sextic-fourfold conic count, each computed
+    from the problem record and compared against its expected value."""
+    problem = HypersurfaceProblem(5, 6, 2, 2)
+    n, hilb = problem.ambient_dim, problem.space
+    sections = comb(n + problem.degree, problem.degree)
+    restriction = problem.curve_degree * problem.degree + 1
     through_conic = sections - 1 - restriction
-    hilb = conic_space(5)
-    obstruction_rank = bundles.rank(conic_obstruction(6), hilb)
+    double_lines = hilb.base.dim + line_space(2).dim
+    line_pairs = n + 2 * (n - 1)
+    obstruction_rank = bundles.rank(problem.obstruction, hilb)
     return [
         # degree-6 monomials in six variables: h^0 of O(6) on P^5
         Check("sextic_sections", 462, sections),
@@ -266,15 +267,14 @@ def dimension_ledger() -> list[Check]:
         Check("conic_moduli_dim", 14, hilb.dim),
         # pairs (conic, sextic containing it)
         Check("conic_incidence_dim", 462, hilb.dim + through_conic),
-        # double lines: a plane plus a line inside it
-        Check("double_line_locus_dim", 11, chow.grassmannian(3, 6).dim + 2),
+        # double lines: a plane (9) plus a line inside it (2)
+        Check("double_line_locus_dim", 11, double_lines),
         # pairs (double line, sextic containing it); codim 3 in the incidence
-        Check("double_line_incidence_dim", 459,
-              chow.grassmannian(3, 6).dim + 2 + through_conic),
+        Check("double_line_incidence_dim", 459, double_lines + through_conic),
         # intersecting line pairs: a point of P^5 plus two lines through it
-        Check("line_pair_locus_dim", 13, 5 + 4 + 4),
+        Check("line_pair_locus_dim", 13, line_pairs),
         # pairs (line pair, sextic containing it); codim 1 in the incidence
-        Check("line_pair_incidence_dim", 461, 5 + 4 + 4 + through_conic),
+        Check("line_pair_incidence_dim", 461, line_pairs + through_conic),
         # degree-6 forms on a plane modulo the conic ideal: 28 - 15
         Check("conic_obstruction_rank", 13, obstruction_rank),
         # expected dimension of the conics on a generic sextic fourfold
@@ -319,15 +319,12 @@ def acceptance_checks() -> list[Check]:
 
     checks.extend(Check("ledger " + c.name, c.expected, c.got) for c in dimension_ledger())
 
-    checks.extend(
-        Check(f"incidence class derives from the universal curve ({kind})",
-              incidence_class(space, curve_degree),
-              incidence_from_universal_curve(5, curve_degree))
-        for kind, curve_degree, space in (
-            ("lines", 1, line_space(5)),
-            ("conics", 2, conic_space(5)),
-        )
-    )
+    for problem in (HypersurfaceProblem(5, 6, d, 2) for d in FAMILIES):
+        checks.append(Check(
+            f"incidence class derives from the universal curve ({problem.family.name})",
+            ex.evaluate(problem.incidence, problem.space),
+            incidence_from_universal_curve(problem),
+        ))
     gr24 = chow.grassmannian(2, 4)
     whitney = chern.total_chern(TautSub(), gr24) * chern.total_chern(TautQuot(), gr24)
     checks.append(Check("Whitney: c(S)c(Q) = 1 on Gr(2,4)", chow.unit(gr24), whitney))

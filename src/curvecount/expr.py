@@ -46,6 +46,7 @@ from .bundles import (
     TensorLine,
     Trivial,
     WhitneyQuotient,
+    rank,
 )
 from .chow import ChowElement, Grassmannian, ProjBundle, Space
 from .symfunc import Partition
@@ -147,6 +148,29 @@ def evaluate(node: ExprAst, space: Space) -> ChowElement:
         for t in node.terms:
             out = out + evaluate(t, space)
         return out
+    raise TypeError(f"not an integrand expression: {node!r}")
+
+
+def degree(node: ExprAst, space: Space) -> int:
+    """The degree of an integrand on `space`, read off the tree: c(i,B) has
+    degree i, e(B) the rank of B, zeta 1, s[lam] |lam| and a scalar 0; a
+    product adds, a power multiplies and a sum takes its largest term."""
+    if isinstance(node, Rational):
+        return 0
+    if isinstance(node, Schubert):
+        return sum(node.parts)
+    if isinstance(node, Zeta):
+        return 1
+    if isinstance(node, ChernClass):
+        return node.index
+    if isinstance(node, EulerClass):
+        return rank(node.bundle, space)
+    if isinstance(node, Power):
+        return degree(node.base, space) * node.exponent
+    if isinstance(node, Product):
+        return sum(degree(f, space) for f in node.factors)
+    if isinstance(node, Sum):
+        return max((degree(t, space) for t in node.terms), default=0)
     raise TypeError(f"not an integrand expression: {node!r}")
 
 

@@ -23,12 +23,7 @@ from curvecount.bundles import (
     WhitneyQuotient,
 )
 from curvecount.chow import ProjBundle, grassmannian, integrate
-from curvecount.counts import (
-    HypersurfaceProblem,
-    conic_space,
-    count_integrand,
-    line_space,
-)
+from curvecount.counts import HypersurfaceProblem, conic_space, line_space
 
 GR24 = grassmannian(2, 4)
 GR36 = grassmannian(3, 6)
@@ -74,7 +69,7 @@ def test_sigma1_power_matches_symbolic():
 
 
 def test_weight_independence_across_explicit_seeds():
-    integrand = count_integrand(HypersurfaceProblem(4, 5, 1))
+    integrand = HypersurfaceProblem(4, 5, 1).integrand
     space = line_space(4)
     values = {
         bott_integrate(space, integrand, weights=weight_search(seed, 5))
@@ -84,7 +79,7 @@ def test_weight_independence_across_explicit_seeds():
 
 
 def test_cubic_surface_lines_by_localization():
-    integrand = count_integrand(HypersurfaceProblem(3, 3, 1))
+    integrand = HypersurfaceProblem(3, 3, 1).integrand
     assert bott_integrate(line_space(3), integrand) == 27
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import get_args
@@ -279,6 +280,24 @@ def test_semantic_error_exit_code(capsys):
     assert err == "error: quotient weights are not contained in the ambient bundle\n"
 
 
+def test_above_top_degree_is_refused_alike_by_every_backend(capsys):
+    # without the refusal the symbolic engine read 0 and localization
+    # reported a weight-dependent sum
+    results = {
+        backend: _run(capsys, "integrate", "--space", "gr(2,4)", "--expr", "s[1]^5",
+                      "--backend", backend)
+        for backend in ("symbolic", "bott", "both")
+    }
+    assert set(results.values()) == {
+        (3, "", "error: integrand degree 5 exceeds dim 4 of gr(2,4)\n")
+    }
+    start = time.perf_counter()
+    code, _, err = _run(capsys, "integrate", "--space", "gr(2,4)",
+                        "--expr", "s[1]^1000000", "--backend", "bott")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (3, "error: integrand degree 1000000 exceeds dim 4 of gr(2,4)\n")
+
+
 @pytest.mark.parametrize(
     "space,expr,build",
     [
@@ -335,6 +354,25 @@ def test_count_command(capsys):
     rep = json.loads(out)
     assert rep["value"]["num"] == "609250"
     assert all(c["pass"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv,space,expr",
+    [
+        ("lines --ambient 4 --degree 5", "gr(2,5)", "e(sym(5,dual(S)))"),
+        ("conics --ambient 4 --degree 5", "pbundle(sym(2,dual(S)),gr(3,5))",
+         "e(quot(sym(5,dual(S)),tensor(sym(3,dual(S)),o(-1))))"),
+        ("lines --ambient 5 --degree 6 --incidence 2", "gr(2,6)",
+         "e(sym(6,dual(S)))*s[1]"),
+        ("conics --ambient 5 --degree 6 --incidence 2", "pbundle(sym(2,dual(S)),gr(3,6))",
+         "e(quot(sym(6,dual(S)),tensor(sym(4,dual(S)),o(-1))))*(zeta + 2*s[1])"),
+    ],
+)
+def test_count_json_names_the_space_and_integrand(capsys, argv, space, expr):
+    code, out, _ = _run(capsys, "count", *argv.split(), "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["space"], rep["expr"]) == (space, expr)
 
 
 def test_count_refusals_name_the_problem(capsys):

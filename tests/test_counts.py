@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from curvecount import bott, bundles, chow, counts
+import curvecount
+from curvecount import bott, bundles, chern, chow, counts
 from curvecount import expr as ex
 from curvecount.counts import (
     DEGENERATE_CONIC_ASSUMPTION,
@@ -12,11 +13,9 @@ from curvecount.counts import (
     conic_space,
     count_conics,
     count_curves,
-    count_integrand,
     count_lines,
     curve_plane_degree,
     dimension_ledger,
-    incidence_class,
     incidence_from_universal_curve,
     line_obstruction,
     line_space,
@@ -51,23 +50,33 @@ def test_obstruction_ranks_balance_dimensions():
 
 @pytest.mark.parametrize("curve_degree", [1, 2])
 def test_incidence_matches_universal_curve_pushforward(curve_degree):
-    space = line_space(5) if curve_degree == 1 else conic_space(5)
-    assert incidence_from_universal_curve(5, curve_degree) == incidence_class(
-        space, curve_degree
-    )
+    # the derived tree, the Chow-ring pushforward and the literal class agree
+    literal = ex.parse("s[1]" if curve_degree == 1 else "zeta + 2*s[1]")
+    for n in range(3, 9):
+        problem = HypersurfaceProblem(n, 6, curve_degree, 2)
+        assert problem.incidence == literal
+        assert incidence_from_universal_curve(problem) == ex.evaluate(literal, problem.space)
+
+
+def test_incidence_is_built_without_ring_arithmetic(monkeypatch):
+    # neither engine builds the tree both of them integrate
+    def refuse(*args, **kwargs):
+        raise AssertionError("the incidence called into chow or chern")
+
+    for module in (chow, chern):
+        for name, value in list(vars(module).items()):
+            if callable(value) and not isinstance(value, type) and (
+                getattr(value, "__module__", None) == module.__name__
+            ):
+                monkeypatch.setattr(module, name, refuse)
+    for curve_degree in counts.FAMILIES:
+        assert HypersurfaceProblem(5, 6, curve_degree, 2).incidence
 
 
 @pytest.mark.parametrize("curve_degree,expected", [(1, 1), (2, 2)])
 def test_universal_curve_has_the_right_fiber_degree(curve_degree, expected):
-    assert curve_plane_degree(5, curve_degree) == expected
-    assert curve_plane_degree(4, curve_degree) == expected
-
-
-def test_incidence_class_needs_matching_space():
-    with pytest.raises(chow.SpaceMismatchError):
-        incidence_class(conic_space(5), 1)
-    with pytest.raises(chow.SpaceMismatchError):
-        incidence_class(line_space(5), 2)
+    assert curve_plane_degree(HypersurfaceProblem(5, 6, curve_degree)) == expected
+    assert curve_plane_degree(HypersurfaceProblem(4, 6, curve_degree)) == expected
 
 
 @pytest.mark.parametrize("backend", ["symbolic", "bott"])
@@ -107,7 +116,8 @@ def test_counts_are_integers():
 def test_count_integrand_has_integer_coefficients():
     # no step of the symbolic engine divides, so without a p/q scalar every
     # coefficient stays an int
-    elt = ex.evaluate(count_integrand(HypersurfaceProblem(5, 6, 2, 2)), conic_space(5))
+    problem = HypersurfaceProblem(5, 6, 2, 2)
+    elt = ex.evaluate(problem.integrand, problem.space)
     coeffs = [c for slot in elt.data for c in slot.data.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
 
@@ -180,3 +190,12 @@ def test_degenerate_locus_codimensions():
 def test_degenerate_conic_assumption_is_stated():
     assert "excess" in DEGENERATE_CONIC_ASSUMPTION
     assert "double lines" in DEGENERATE_CONIC_ASSUMPTION
+
+
+def test_package_all_names_each_attribute_once():
+    names = curvecount.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(curvecount, n)] == []
+    star = {}
+    exec("from curvecount import *", star)
+    assert set(names) <= set(star)
