@@ -32,23 +32,34 @@ not a wrong answer.
 Sym powers dominate the integrand (Sym^20 S* has 231 weights at each conic
 point of P^14), and their weights depend only on the argument's weights.
 `_integrate_once` keeps one memo per `subset`, emptied when the subset
-changes, and the evaluators read it only at a Sym node, keyed by (degree,
-argument weights).  Because the key holds the weights, a Sym of a twisted
-argument such as S(1) stays right at every eigenline.  Memoized weights are
-kept sorted.  A quotient bundle's weights are the multiset difference
-top - sub, taken by one merge of the two sorted lists; a sub not contained
-in top has no lift and is refused as unsupported.
+changes.  The evaluators read it at a Sym node, keyed by (degree, argument
+weights).  Because the key holds the weights, a Sym of a twisted argument
+such as S(1) stays right at every eigenline.  Memoized weights are kept
+sorted.  A quotient bundle's weights are the multiset difference top - sub,
+taken by one merge of the two sorted lists; a sub not contained in top has
+no lift and is refused as unsupported.  The memo also holds the values of
+the nodes pulled back from the base: on a projective bundle, a node that
+mentions neither zeta nor a relative O(k) has one value at every point over
+a subset, at any tower depth (the projection formula, localized).  That is
+decided once, when the integrand is lifted, so such a factor, say c_3(Q) or
+sigma_1, is evaluated once per subset rather than once per eigenline.
 
 The integral is the exact rational sum over fixed points of (numerator
 weights) / (product of tangent weights).  Numerators are plain integers,
-rational only when the integrand carries a p/q scalar.  Each base tangent
-product T_I = prod_{a in I, b not in I} (w_b - w_a) divides
-V = prod_{a<b} (w_b - w_a), so the sum is taken as the integer
-sum_I (V // T_I) * F_I over one `Fraction` by V, where F_I sums the points
-above subset I: the numerator itself on a Grassmannian, a short `Fraction`
-sum over the fiber points on a tower.  One least common multiple
-accumulated over all fixed points is slower on a tower, where the fiber
-denominators never cancel.
+rational only when the integrand carries a p/q scalar.  The sum is taken one
+tower level at a time, each over one Vandermonde product.  A fibre with
+weights f_0..f_{r-1} has the tangent product T_i = prod_{m != i}(f_m - f_i)
+at its eigenline i, which divides V_f = prod_{a<b}(f_b - f_a); the r points
+over one point below sum as the integer sum_i (V_f // T_i) * value_i over
+one `Fraction` by V_f.  Points over one point below arrive contiguous from
+`fixed_points`, so the tower folds from the top level down, and the base
+Grassmannian ends the fold the same way: each base tangent product
+T_I = prod_{a in I, b not in I} (w_b - w_a) divides V = prod_{a<b}
+(w_b - w_a), so the total is sum_I (V // T_I) * F_I over V, where F_I is
+the numerator itself on a Grassmannian and the folded fibre sum on a tower.
+So one `Fraction` is formed per point below a fibre, and none is shared by
+all fixed points: a least common multiple accumulated over all of them is
+slower on a tower, where the fibre denominators never cancel.
 
 This module deliberately shares no ring arithmetic with the symbolic Chow
 backend, so agreement between the two is a real cross-check.
@@ -74,6 +85,7 @@ from .bundles import (
     TensorLine,
     Trivial,
     WhitneyQuotient,
+    mentions_rel,
     rank,
 )
 from .chow import Grassmannian, ProjBundle, Space
@@ -135,9 +147,10 @@ def bundle_weights(expr: BundleExpr, space: Space):
     """Lift a bundle expression read on `space` to its weights at a fixed point.
 
     Returns a function (pt, weights, memo) -> list, the multiset of
-    equivariant weights at the fixed point `pt` of `space`.  `memo` holds the
-    sorted weights of the Sym nodes met so far at points with this `subset`,
-    keyed by (degree, argument weights); see the module notes.  Its lists are
+    equivariant weights at the fixed point `pt` of `space`.  `memo` holds,
+    for the points with this `subset`, the sorted weights of the Sym nodes
+    met so far, keyed by (degree, argument weights), and the values of the
+    integrand's pulled-back nodes; see the module notes.  Its lists are
     shared, so callers only read them.  A quotient is the multiset difference
     of the sorted top and sub weights, by one merge.
     """
@@ -212,8 +225,7 @@ def _difference(top, sub) -> list:
 
 def tangent_weights(pt, weights) -> list:
     """Tangent weights at a fixed point: the base Grassmannian's, then each
-    tower level's.  A record with no levels gives the base part alone, and
-    one with an empty subset the fiber part alone."""
+    tower level's.  A record with no levels gives the base part alone."""
     subset, levels = pt
     quot = [w for b, w in enumerate(weights) if b not in subset]
     out = [w - weights[a] for a in subset for w in quot]
@@ -228,8 +240,43 @@ def evaluate_at(node: ex.ExprAst, space: Space):
     Returns a function (pt, weights, memo) -> int | Fraction; `memo` as in
     `bundle_weights`.  The walk validates every bundle through `rank`, as the
     symbolic engine does before computing, and refuses an atom with no lift,
-    so both happen before any fixed point is built.
+    so both happen before any fixed point is built.  On a projective bundle
+    a node that reads nothing of the fibre is pulled back from the base: its
+    value is kept in `memo`, keyed by its own evaluator, and computed once
+    per subset.
     """
+    value = _lift(node, space)
+    if not isinstance(space, ProjBundle) or _reads_fibre(node):
+        return value
+
+    def pulled_back(pt, weights, memo):
+        try:
+            return memo[value]
+        except KeyError:
+            memo[value] = out = value(pt, weights, memo)
+            return out
+
+    return pulled_back
+
+
+def _reads_fibre(node: ex.ExprAst) -> bool:
+    """Whether an integrand node reads the top level's eigenline: zeta, or a
+    bundle that mentions the relative O(k)."""
+    if isinstance(node, ex.Zeta):
+        return True
+    if isinstance(node, (ex.ChernClass, ex.EulerClass)):
+        return mentions_rel(node.bundle)
+    if isinstance(node, ex.Power):
+        return _reads_fibre(node.base)
+    if isinstance(node, ex.Product):
+        return any(map(_reads_fibre, node.factors))
+    if isinstance(node, ex.Sum):
+        return any(map(_reads_fibre, node.terms))
+    return False
+
+
+def _lift(node: ex.ExprAst, space: Space):
+    """The evaluator of `node` itself; its children are lifted by `evaluate_at`."""
     if isinstance(node, ex.Rational):
         value = node.value
         return lambda pt, weights, memo: value
@@ -299,22 +346,40 @@ def _det(rows: list[list[int]]) -> int:
 
 
 def _integrate_once(space: Space, numerator, weights) -> Fraction:
-    """The localized sum of a lifted numerator over one common denominator V;
-    see the module notes."""
+    """The localized sum of a lifted numerator, one tower level at a time,
+    over the base Vandermonde V; see the module notes."""
     vandermonde = prod(wb - wa for wa, wb in combinations(weights, 2))
     total = 0
-    # points arrive grouped by subset; the memo holds one subset's Sym weights
+    # points arrive grouped by subset; the memo holds one subset's values
     for subset, pts in groupby(fixed_points(space, weights), itemgetter(0)):
-        memo, above = {}, 0
-        for pt in pts:
-            value = numerator(pt, weights, memo)
-            if value and pt[1]:
-                # ((), levels) carries the fiber tangent weights alone
-                value = Fraction(value, prod(tangent_weights(((), pt[1]), weights)))
-            above += value
+        memo = {}
+        pts = list(pts)
+        values = [numerator(pt, weights, memo) for pt in pts]
+        # fold the tower from the top: the r points over one point below
+        # are contiguous, and sum to one value there
+        for level in reversed(range(len(pts[0][1]))):
+            r = len(pts[0][1][level][0])
+            values = [
+                _fibre_sum(pts[j][1][level][0], values[j:j + r])
+                for j in range(0, len(pts), r)
+            ]
+            pts = pts[::r]
+        (above,) = values
         if above:
             total += vandermonde // prod(tangent_weights((subset, ()), weights)) * above
     return Fraction(total, vandermonde)
+
+
+def _fibre_sum(fiber, values) -> Fraction | int:
+    """sum_i values[i] / T_i over the eigenlines of one fibre, where
+    T_i = prod_{m != i} (f_m - f_i) divides V_f = prod_{a<b} (f_b - f_a):
+    the integer sum_i (V_f // T_i) * values[i] over one `Fraction` by V_f."""
+    v = prod(fb - fa for fa, fb in combinations(fiber, 2))
+    s = sum([
+        v // prod([fm - fi for fm in fiber if fm != fi]) * x
+        for fi, x in zip(fiber, values) if x
+    ])
+    return Fraction(s, v) if s else 0
 
 
 def bott_integrate(
@@ -327,15 +392,20 @@ def bott_integrate(
     The integrand is lifted once, before any fixed point is built, so an
     unsupported atom or a malformed bundle is refused at no cost.  With
     explicit `weights` a single evaluation runs and a degenerate choice
-    raises WeightCollisionError so the caller can retry.  Without weights the
+    raises WeightCollisionError so the caller can retry.  Without weights an
+    integrand above the top degree is refused at once, and otherwise the
     seeds below MAX_SEED are walked until two admissible vectors agree;
     disagreement means the integrand has no well-defined ordinary integral
-    (for instance its degree exceeds the dimension) and is reported as
-    unsupported.
+    and is reported as unsupported.
     """
     numerator = evaluate_at(integrand, space)
     if weights is not None:
         return _integrate_once(space, numerator, tuple(weights))
+    top = ex.degree(integrand, space)
+    if top > space.dim:
+        raise UnsupportedExpressionError(
+            f"integrand degree {top} exceeds dim {space.dim} of {ex.format_expr(space)}"
+        )
     n = ambient_size(space)
     values = []
     for seed in range(MAX_SEED):

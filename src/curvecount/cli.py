@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--ambient", type=int, required=True,
                          help="dimension n of the ambient projective space")
     p_count.add_argument("--degree", type=int, required=True)
-    p_count.add_argument("--incidence", type=int, choices=(0, 2), default=0,
-                         help="codimension of the incidence condition")
+    p_count.add_argument("--incidence", type=int, default=0,
+                         help="codimension k of the incidence condition, 0 <= k <= n")
     p_count.add_argument("--json", action="store_true")
     p_count.set_defaults(func=_cmd_count)
 

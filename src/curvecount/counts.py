@@ -94,8 +94,10 @@ class HypersurfaceProblem:
             raise ValueError("ambient projective space must have dimension >= 2")
         if self.curve_degree not in FAMILIES:
             raise ValueError("only lines and conics are supported")
-        if self.insertion_codim not in (0, 2):
-            raise ValueError("insertion codimension must be 0 or 2")
+        if not 0 <= self.insertion_codim <= self.ambient_dim:
+            raise ValueError(
+                f"insertion codimension must be between 0 and {self.ambient_dim}"
+            )
         if self.curve_degree == 2 and self.degree < 2:
             raise ValueError("conic problems need hypersurface degree >= 2")
         if self.curve_degree == 2 and self.ambient_dim < 3:
@@ -192,7 +194,7 @@ def curve_plane_degree(problem: HypersurfaceProblem) -> Fraction:
 
 def count_curves(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
     """Curves of the problem's family on a generic hypersurface, optionally
-    meeting a codim-2 plane: the integral of `problem.integrand`."""
+    meeting a codim-k linear subspace: the integral of `problem.integrand`."""
     space, integrand = problem.space, problem.integrand
     total = ex.degree(integrand, space)
     if total != space.dim:
@@ -208,14 +210,14 @@ def count_curves(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fra
 
 
 def count_lines(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
-    """Lines on a generic hypersurface, optionally meeting a codim-2 plane."""
+    """Lines on a generic hypersurface, optionally meeting a codim-k linear subspace."""
     if problem.curve_degree != 1:
         raise ValueError("count_lines needs a line problem")
     return count_curves(problem, backend)
 
 
 def count_conics(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
-    """Plane conics on a generic hypersurface, optionally meeting a codim-2 plane."""
+    """Plane conics on a generic hypersurface, optionally meeting a codim-k linear subspace."""
     if problem.curve_degree != 2:
         raise ValueError("count_conics needs a conic problem")
     return count_curves(problem, backend)

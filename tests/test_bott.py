@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import comb, prod
 
@@ -24,6 +25,7 @@ from curvecount.bundles import (
 )
 from curvecount.chow import ProjBundle, grassmannian, integrate
 from curvecount.counts import HypersurfaceProblem, conic_space, line_space
+from curvecount.symfunc import elementary_symmetric
 
 GR24 = grassmannian(2, 4)
 GR36 = grassmannian(3, 6)
@@ -151,10 +153,15 @@ def test_below_top_degree_localizes_to_zero():
 
 
 def test_above_top_degree_integrand_is_rejected():
-    # sigma_1^5 exceeds the dimension of Gr(2,4); the sum then depends on
-    # the weights and the driver refuses to answer
-    with pytest.raises(UnsupportedExpressionError):
-        bott_integrate(GR24, ex.Power(ex.Schubert((1,)), 5))
+    # sigma_1^5 exceeds the dimension of Gr(2,4), where the sum would depend
+    # on the weights; the degree is read off the tree before any seed is
+    # tried, so a huge power costs nothing
+    for exponent in (5, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedExpressionError) as err:
+            bott_integrate(GR24, ex.Power(ex.Schubert((1,)), exponent))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == f"integrand degree {exponent} exceeds dim 4 of gr(2,4)"
 
 
 def test_tangent_weight_count_matches_dimension():
@@ -212,17 +219,22 @@ def test_nested_tower_engines_agree(integrand, expected):
     assert bott_integrate(NESTED, integrand) == expected
 
 
-# the common-denominator sum against the literal per-point sum; the last
-# case exceeds the dimension of Gr(2,5), so its value depends on the weights
+# the level-by-level sum against the literal per-point sum; the pulled-back
+# cases mix factors read once per subset with factors read at every point,
+# and the last case exceeds the dimension of Gr(2,5), so its value depends
+# on the weights
 @pytest.mark.parametrize(
     "space, integrand",
     [
         (grassmannian(2, 5), ex.Product((ex.rational(Fraction(1, 3)), ex.Power(ex.Schubert((1,)), 6)))),
         (CONICS, ex.Product((ex.Power(ex.Zeta(), 5), ex.ChernClass(3, TautQuot()), ex.Power(ex.Schubert((1,)), 6)))),
         (NESTED, ex.Power(ex.Zeta(), 16)),
+        (CONICS, ex.parse("c(3,Q)*s[1]^11 + zeta^5*c(2,dual(S))*s[1]^7")),
+        (NESTED, ex.parse("c(6,sym(2,dual(S)))*c(2,tensor(Q,o(-1)))*zeta^8")),
         (grassmannian(2, 5), ex.Power(ex.Schubert((1,)), 7)),
     ],
-    ids=["rational-scalar", "conic-tower", "nested-tower", "over-degree"],
+    ids=["rational-scalar", "conic-tower", "nested-tower", "pulled-back-sum",
+         "nested-pulled-back-sym", "over-degree"],
 )
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
@@ -242,3 +254,31 @@ def test_sum_equals_the_literal_per_point_sum(space, integrand, data):
         Fraction(at(pt, weights, {})) / prod(tangent_weights(pt, weights)) for pt in pts
     )
     assert bott_integrate(space, integrand, weights=weights) == literal
+
+
+@pytest.mark.parametrize(
+    "bundle, evaluations",
+    [
+        # pulled back from Gr(3,6): once per subset
+        (TautQuot(), comb(6, 3)),
+        # reads the eigenline: once per fixed point
+        (TensorLine(TautQuot(), RelO(-1)), comb(6, 3) * 6),
+    ],
+    ids=["pulled-back", "twisted"],
+)
+def test_factors_pulled_back_from_the_base_are_evaluated_once_per_subset(
+    monkeypatch, bundle, evaluations
+):
+    calls = []
+
+    def counted(ws, k):
+        calls.append(k)
+        return elementary_symmetric(ws, k)
+
+    monkeypatch.setattr(bott, "elementary_symmetric", counted)
+    integrand = ex.Product((ex.ChernClass(3, bundle), ex.Power(ex.Zeta(), 11)))
+    value = bott_integrate(CONICS, integrand)
+    assert value == integrate(ex.evaluate(integrand, CONICS))
+    # bott_integrate sums at two admissible weight vectors; a colliding one
+    # is refused before any point is evaluated
+    assert calls == [3] * (2 * evaluations)

@@ -386,6 +386,10 @@ def test_count_refusals_name_the_problem(capsys):
         "error: integrand degree 5 does not match dim 8 of "
         "pbundle(sym(2,dual(S)),gr(3,4)); deficit 3\n"
     )
+    # the insertion is a linear subspace of P^n
+    code, _, err = _run(capsys, "count", "lines", "--ambient", "5", "--degree", "6",
+                        "--incidence", "6")
+    assert (code, err) == (3, "error: insertion codimension must be between 0 and 5\n")
 
 
 def test_count_lines_with_incidence(capsys):

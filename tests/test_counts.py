@@ -25,8 +25,11 @@ from curvecount.counts import (
 def test_problem_validation():
     with pytest.raises(ValueError):
         HypersurfaceProblem(4, 5, 3)
+    # the insertion is a linear subspace of P^n: codimension 0 to n
     with pytest.raises(ValueError):
-        HypersurfaceProblem(4, 5, 1, 1)
+        HypersurfaceProblem(4, 5, 1, 5)
+    with pytest.raises(ValueError):
+        HypersurfaceProblem(4, 5, 1, -1)
     with pytest.raises(ValueError):
         HypersurfaceProblem(4, 1, 2)
     with pytest.raises(ValueError):
@@ -56,6 +59,22 @@ def test_incidence_matches_universal_curve_pushforward(curve_degree):
         problem = HypersurfaceProblem(n, 6, curve_degree, 2)
         assert problem.incidence == literal
         assert incidence_from_universal_curve(problem) == ex.evaluate(literal, problem.space)
+
+
+@pytest.mark.parametrize("backend", ["symbolic", "bott"])
+@pytest.mark.parametrize(
+    "problem, value",
+    [
+        # the septic CY5 with H^3 and the octic CY6 with H^4
+        (HypersurfaceProblem(6, 7, 1, 3), 1009792),
+        (HypersurfaceProblem(6, 7, 2, 3), 122239786088),
+        (HypersurfaceProblem(7, 8, 1, 4), 15984640),
+        (HypersurfaceProblem(7, 8, 2, 4), 33397159706624),
+    ],
+    ids=["septic-lines", "septic-conics", "octic-lines", "octic-conics"],
+)
+def test_insertion_codimension_above_two(problem, value, backend):
+    assert count_curves(problem, backend) == value
 
 
 def test_incidence_is_built_without_ring_arithmetic(monkeypatch):
