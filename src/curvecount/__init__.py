@@ -55,6 +55,7 @@ from .counts import (
     count_curves,
     count_lines,
     dimension_ledger,
+    integral,
     line_obstruction,
     line_space,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "euler_class",
     "grassmannian",
     "gw_from_dt",
+    "integral",
     "integrate",
     "line_obstruction",
     "line_space",

@@ -194,6 +194,8 @@ class ChowElement:
         out = unit(self.space)
         for _ in range(n):
             out = out * self
+            if out.is_zero():  # so is every higher power
+                break
         return out
 
     def __eq__(self, other) -> bool:

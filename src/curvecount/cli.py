@@ -17,15 +17,11 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bott, chow, counts, gwdt
+from . import bott, counts, gwdt
 from . import expr as ex
 from .chow import Space
 from .counts import Check, HypersurfaceProblem
 from .expr import ExprSyntaxError
-
-
-class SemanticError(ValueError):
-    pass
 
 
 def parse_expression(text: str) -> ex.ExprAst:
@@ -63,6 +59,15 @@ def _report(command: str, *, space: str = "", expression: str = "",
     return rep
 
 
+def _integral_report(command: str, space: Space, node: ex.ExprAst, backend: str,
+                     values: list[Fraction], *checks: Check) -> dict:
+    """The report of one integral, on one engine or, with a value per engine,
+    the symbolic value checked against the localized one."""
+    agreement = [Check("backend agreement", *values)] if len(values) > 1 else []
+    return _report(command, space=ex.format_expr(space), expression=ex.format_expr(node),
+                   backend=backend, value=values[0], checks=agreement + list(checks))
+
+
 def _emit(rep: dict, as_json: bool, show_value: bool = True) -> int:
     if as_json:
         print(json.dumps(rep, indent=2, sort_keys=True))
@@ -85,54 +90,19 @@ def _emit(rep: dict, as_json: bool, show_value: bool = True) -> int:
 def _cmd_integrate(args) -> int:
     space = parse_space(args.space)
     node = parse_expression(args.expr)
-    # refused before either engine runs: above the top degree the symbolic
-    # engine reads 0 and the localization sum depends on the weights
-    top = ex.degree(node, space)
-    if top > space.dim:
-        raise counts.DegreeMismatchError(
-            f"integrand degree {top} exceeds dim {space.dim} of {ex.format_expr(space)}"
-        )
-    checks = []
-    if args.backend in ("symbolic", "both"):
-        symbolic = chow.integrate(ex.evaluate(node, space))
-    if args.backend in ("bott", "both"):
-        localized = bott.bott_integrate(space, node)
-    if args.backend == "symbolic":
-        value = symbolic
-    elif args.backend == "bott":
-        value = localized
-    else:
-        value = symbolic
-        checks.append(Check("backend agreement", symbolic, localized))
-    rep = _report(
-        "integrate",
-        space=ex.format_expr(space),
-        expression=ex.format_expr(node),
-        backend=args.backend,
-        value=value,
-        checks=checks,
-    )
-    return _emit(rep, args.json)
+    backends = counts.BACKENDS if args.backend == "both" else (args.backend,)
+    values = [counts.integral(space, node, b) for b in backends]
+    return _emit(_integral_report("integrate", space, node, args.backend, values),
+                 args.json)
 
 
 def _cmd_count(args) -> int:
     curve_degree = next(d for d, f in counts.FAMILIES.items() if f.name == args.kind)
     problem = HypersurfaceProblem(args.ambient, args.degree, curve_degree,
                                   args.incidence)
-    symbolic = counts.count_curves(problem, "symbolic")
-    localized = counts.count_curves(problem, "bott")
-    checks = [
-        Check("backend agreement", symbolic, localized),
-        Check("integer count", 1, symbolic.denominator),
-    ]
-    rep = _report(
-        "count",
-        space=ex.format_expr(problem.space),
-        expression=ex.format_expr(problem.integrand),
-        backend="both",
-        value=symbolic,
-        checks=checks,
-    )
+    values = [counts.count_curves(problem, b) for b in counts.BACKENDS]
+    rep = _integral_report("count", problem.space, problem.integrand, "both", values,
+                           Check("integer count", 1, values[0].denominator))
     return _emit(rep, args.json)
 
 
@@ -159,14 +129,11 @@ def _parse_table(text: str, label: str) -> gwdt.InvariantTable:
         except (ValueError, ZeroDivisionError) as err:
             raise ExprSyntaxError(f"bad table entry {item!r}: {err}", start) from err
         if degree in values:
-            raise SemanticError(f"degree {degree} appears twice in the {label} table")
+            raise ValueError(f"degree {degree} appears twice in the {label} table")
         values[degree] = value
     if not values:
-        raise SemanticError(f"the {label} table is empty")
-    try:
-        return gwdt.InvariantTable(label, values)
-    except ValueError as err:
-        raise SemanticError(str(err)) from err
+        raise ValueError(f"the {label} table is empty")
+    return gwdt.InvariantTable(label, values)
 
 
 def _cmd_gwdt(args) -> int:
@@ -231,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="integrate an expression over a space")
     p_int.add_argument("--space", required=True)
     p_int.add_argument("--expr", required=True)
-    p_int.add_argument("--backend", choices=("symbolic", "bott", "both"),
+    p_int.add_argument("--backend", choices=(*counts.BACKENDS, "both"),
                        default="symbolic")
     p_int.add_argument("--json", action="store_true")
     p_int.set_defaults(func=_cmd_integrate)

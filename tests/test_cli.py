@@ -10,7 +10,7 @@ from typing import get_args
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvecount import cli, counts, expr as ex, gwdt
+from curvecount import bott, cli, counts, expr as ex, gwdt
 from curvecount.bundles import (
     BundleExpr, Dual, RelO, Sym, TautQuot, TautSub, TensorLine, Trivial, WhitneyQuotient,
 )
@@ -337,6 +337,43 @@ def test_localization_validates_bundles_like_symbolic(capsys, expr):
         assert code == 3
         errors.append(err)
     assert errors[0] == errors[1]
+
+
+def _integral_or_refusal(space, node, backend):
+    try:
+        return counts.integral(space, node, backend)
+    except (ValueError, bott.WeightCollisionError) as err:
+        return err
+
+
+def _refused_by_localization_alone(space, err):
+    # the symbolic engine integrates these; localization cannot read them
+    if isinstance(err, bott.UnsupportedExpressionError):
+        return str(err).startswith("quotient weights are not contained")
+    # a tower over a bundle with repeated weights, such as triv(3), has
+    # colliding fibre weights at every seed
+    return isinstance(err, bott.WeightCollisionError) and isinstance(space, ProjBundle)
+
+
+@given(space_nodes(1).filter(lambda space: space.dim <= 8), expr_nodes(2))
+@settings(max_examples=200, deadline=None)
+def test_engines_agree_or_refuse_alike(space, node):
+    # pad to the top degree with s[1], so that most integrands are not 0
+    try:
+        pad = space.dim - ex.degree(node, space)
+    except ValueError:
+        pad = 0  # refused by the degree read, which both engines share
+    if pad > 0:
+        node = ex.Product((node, ex.Power(ex.Schubert((1,)), pad)))
+    symbolic, localized = (_integral_or_refusal(space, node, b) for b in counts.BACKENDS)
+    if isinstance(symbolic, Fraction) and isinstance(localized, Exception):
+        assert _refused_by_localization_alone(space, localized), localized
+    elif isinstance(symbolic, Exception) or isinstance(localized, Exception):
+        assert str(symbolic) == str(localized)
+        assert isinstance(symbolic, Exception) and isinstance(localized, Exception)
+    else:
+        assert type(symbolic) is type(localized) is Fraction
+        assert symbolic == localized
 
 
 def test_count_command(capsys):

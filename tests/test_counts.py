@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,23 @@ def test_dimension_deficit_is_reported():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         count_curves(HypersurfaceProblem(3, 3, 1), "numeric")
+
+
+def test_huge_powers_end_at_once_on_the_library_path():
+    # a power stops multiplying at its first zero power, so the symbolic
+    # path reads these at once, and integral reads the degree before either
+    # engine runs and refuses as the command line does
+    gr24 = chow.grassmannian(2, 4)
+    for space, text in ((gr24, "s[1]^1000000"), (conic_space(5), "zeta^1000000")):
+        start = time.perf_counter()
+        assert ex.evaluate(ex.parse(text), space) == chow.zero(space)
+        assert time.perf_counter() - start < 1.0
+    for backend in counts.BACKENDS:
+        start = time.perf_counter()
+        with pytest.raises(DegreeMismatchError) as err:
+            counts.integral(gr24, ex.parse("s[1]^1000000"), backend)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "integrand degree 1000000 exceeds dim 4 of gr(2,4)"
 
 
 def test_ledger_entries_all_pass():
