@@ -29,20 +29,25 @@ elementary symmetric function of the quotient weights.  Zeta off a
 projective bundle has no lift; requesting it is an unsupported expression,
 not a wrong answer.
 
-Sym powers dominate the integrand (Sym^20 S* has 231 weights at each conic
-point of P^14), and their weights depend only on the argument's weights.
-`_integrate_once` keeps one memo per `subset`, emptied when the subset
-changes.  The evaluators read it at a Sym node, keyed by (degree, argument
-weights).  Because the key holds the weights, a Sym of a twisted argument
-such as S(1) stays right at every eigenline.  Memoized weights are kept
-sorted.  A quotient bundle's weights are the multiset difference top - sub,
+Sym powers are the largest bundles of the integrand (Sym^20 S* has 231
+weights at each conic point of P^14), and their weights depend only on the
+argument's weights.  `_integrate_once` keeps one memo per `subset`, emptied
+when the subset changes.  The evaluators read it at a Sym node, keyed by
+(degree, argument weights).  Because the key holds the weights, a Sym of a
+twisted argument such as S(1) stays right at every eigenline.  Memoized
+weights are kept sorted.  They are built by `_sym_weights`, one dot product
+per exponent vector of all but the last two argument weights and one
+arithmetic progression in those two, so Sym^20 S* takes 21 dot products,
+not 231.  A quotient bundle's weights are the multiset difference top - sub,
 taken by one merge of the two sorted lists; a sub not contained in top has
-no lift and is refused as unsupported.  The memo also holds the values of
-the nodes pulled back from the base: on a projective bundle, a node that
-mentions neither zeta nor a relative O(k) has one value at every point over
-a subset, at any tower depth (the projection formula, localized).  That is
-decided once, when the integrand is lifted, so such a factor, say c_3(Q) or
-sigma_1, is evaluated once per subset rather than once per eigenline.
+no lift and is refused as unsupported.  On the conic towers that merge, one
+per eigenline, is the largest per-point cost.  The memo also holds the
+values of the nodes pulled back from the base: on a projective bundle, a
+node that mentions neither zeta nor a relative O(k) has one value at every
+point over a subset, at any tower depth (the projection formula, localized).
+That is decided once, when the integrand is lifted, so such a factor, say
+c_3(Q) or sigma_1, is evaluated once per subset rather than once per
+eigenline.
 
 The integral is the exact rational sum over fixed points of (numerator
 weights) / (product of tangent weights).  Numerators are plain integers,
@@ -173,10 +178,7 @@ def bundle_weights(expr: BundleExpr, space: Space):
             ws = tuple(arg(pt, weights, memo))
             key = (degree, ws)
             if key not in memo:
-                memo[key] = sorted([
-                    sum(map(mul, mono, ws))
-                    for mono in sym_power_roots(degree, len(ws))
-                ])
+                memo[key] = _sym_weights(degree, ws)
             return memo[key]
 
         return sym
@@ -205,6 +207,29 @@ def bundle_weights(expr: BundleExpr, space: Space):
 
         return rel_o
     raise InvalidBundleError(f"not a bundle expression: {expr!r}")
+
+
+def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
+    """The sorted weights sum_j m_j * ws[j] of Sym^degree, over the exponent
+    vectors m of `sym_power_roots(degree, len(ws))`.
+
+    The vectors that agree off the last two weights a, b and put k on those
+    two give the progression s + i * (a - b), i = 0..k, where s is their dot
+    product with k on b.  So one dot product per vector of
+    `sym_power_roots(degree, len(ws) - 1)` over (ws[:-2], b) gives s and k,
+    and a `range` fills the rest; a repeated weight (step 0) fills k + 1
+    copies of s.
+    """
+    if len(ws) == 1:
+        return [degree * ws[0]]
+    a, b = ws[-2:]
+    head = ws[:-2] + (b,)
+    step, out = a - b, []
+    for mono in sym_power_roots(degree, len(head)):
+        s, k = sum(map(mul, mono, head)), mono[-1]
+        out.extend(range(s, s + (k + 1) * step, step) if step else [s] * (k + 1))
+    out.sort()
+    return out
 
 
 def _difference(top, sub) -> list:

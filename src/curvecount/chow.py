@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 
 from . import bundles, symfunc
 from .symfunc import Partition
@@ -189,14 +190,28 @@ class ChowElement:
         return NotImplemented
 
     def __pow__(self, n: int) -> "ChowElement":
+        """self^n by the binomial theorem.  self = a + y, with a its degree-0
+        coefficient and y of positive degree, hence nilpotent, so self^n is
+        sum_j C(n, j) a^(n-j) y^j over the powers of y before the first zero
+        one; with a = 0 only y^n is left."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = unit(self.space)
-        for _ in range(n):
-            out = out * self
-            if out.is_zero():  # so is every higher power
+        one, a = unit(self.space), self._constant()
+        y = self
+        if a:
+            y = sum_of_products(self.space, ((1, self, None), (-a, one, None)))
+        powers = [one]
+        while len(powers) <= n:
+            power = powers[-1] * y
+            if power.is_zero():  # so is every higher power
                 break
-        return out
+            powers.append(power)
+        if not a:
+            return powers[n] if len(powers) > n else zero(self.space)
+        return sum_of_products(
+            self.space,
+            [(comb(n, j) * a ** (n - j), y_j, None) for j, y_j in enumerate(powers)],
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -218,6 +233,13 @@ class ChowElement:
         return "(" + ", ".join(repr(s) for s in self.data) + ")"
 
     # -- helpers ---------------------------------------------------------
+
+    def _constant(self) -> int | Fraction:
+        """The degree-0 coefficient: on a tower, that of the zeta^0 slot."""
+        x = self
+        while not isinstance(x.space, Grassmannian):
+            x = x.data[0]
+        return x.data.get((), 0)
 
     def _scale(self, c: int | Fraction) -> "ChowElement":
         return sum_of_products(self.space, ((c, self, None),))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 Partition = tuple[int, ...]
 
@@ -243,13 +244,27 @@ def sym_power_roots(d: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 def elementary_symmetric(values, k: int):
-    """e_k of a finite list of exact numbers, by the usual one-pass recurrence."""
+    """e_k of a finite list of exact numbers, by the usual one-pass recurrence.
+
+    e_1 is the sum and e_n the product of the n values.  Otherwise, when the
+    value with index m is taken in, e_j can be nonzero only for j <= m + 1,
+    and it reaches e_k only if the n - m - 1 values after it can add the
+    k - j factors missing, so only min(k, m + 1) >= j > max(k - n + m, 0)
+    is updated.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    n = len(values)
+    if k > n:
+        return 0
+    if k == 1:
+        return sum(values)
+    if k == n:
+        return prod(values)
     e = [1] + [0] * k
-    for v in values:
-        for j in range(k, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
+    for m, v in enumerate(values):
+        for j in range(min(k, m + 1), max(k - n + m, 0), -1):
+            e[j] += v * e[j - 1]
     return e[k]
 
 

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from curvecount.bott import (
     UnsupportedExpressionError,
     WeightCollisionError,
     bott_integrate,
+    bundle_weights,
     fixed_points,
     tangent_weights,
     weight_search,
@@ -21,11 +23,12 @@ from curvecount.bundles import (
     TautQuot,
     TautSub,
     TensorLine,
+    Trivial,
     WhitneyQuotient,
 )
 from curvecount.chow import ProjBundle, grassmannian, integrate
 from curvecount.counts import HypersurfaceProblem, conic_space, line_space
-from curvecount.symfunc import elementary_symmetric
+from curvecount.symfunc import elementary_symmetric, sym_power_roots
 
 GR24 = grassmannian(2, 4)
 GR36 = grassmannian(3, 6)
@@ -55,6 +58,27 @@ def test_fixed_points_of_tower_add_an_eigenline():
     pts = fixed_points(CONICS, weights)
     # each of the 20 planes carries 6 monomial conics
     assert len(pts) == comb(6, 3) * 6
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_sym_weights_are_the_sorted_exponent_dot_products(r):
+    # distinct weights with a zero and negatives; the last two equal (a
+    # zero step), negated through a dual; a trivial bundle's zeros
+    space, pt = grassmannian(r, r + 2), (tuple(range(r)), ())
+    distinct = (3, -5, 0, 11, 7, -2, 9, 1)[: r + 2]
+    last_two_equal = (distinct[: r - 1] + distinct[max(r - 2, 0):])[: r + 2]
+    cases = [
+        (TautSub(), distinct),
+        (Dual(TautSub()), last_two_equal),
+        (Trivial(r), distinct),
+    ]
+    for arg, weights in cases:
+        ws = tuple(bundle_weights(arg, space)(pt, weights, {}))
+        for d in range(21):
+            memo = {}
+            got = bundle_weights(Sym(d, arg), space)(pt, weights, memo)
+            assert got == sorted([sum(map(mul, m, ws)) for m in sym_power_roots(d, r)])
+            assert memo == {(d, ws): got}
 
 
 def test_ladder_weights_collide_on_the_conic_tower():

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvecount import chow
+from curvecount import chow, expr as ex
 from curvecount.bundles import Dual, Sym, TautSub, Trivial
 from curvecount.chern import chern_classes
 from curvecount.chow import (
@@ -134,6 +136,39 @@ def test_ring_axioms_on_random_elements():
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+def _repeated_power(x, n):
+    out = unit(x.space)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def test_power_is_the_repeated_product():
+    # the binomial expansion around the degree-0 part, against n multiplies:
+    # zero, integer and rational constant terms, on a Grassmannian and towers
+    rng = random.Random(11)
+    for space in (GR36, PS, PS_S):
+        for a in (0, 1, -2, Fraction(1, 3)):
+            x = a * unit(space) + _random_element(space, rng)
+            for n in range(7):
+                assert x ** n == _repeated_power(x, n), (space, a, n)
+        assert (3 * unit(space)) ** 4 == 81 * unit(space)
+
+
+def test_huge_power_of_one_plus_a_nilpotent_is_read_at_once():
+    # only the powers of the positive-degree part below the dimension are
+    # built, so a million-th power takes as long as a fourth
+    n = 10**6
+    start = time.perf_counter()
+    power = ex.evaluate(ex.parse(f"(1+s[1])^{n}"), GR24)
+    assert time.perf_counter() - start < 1.0
+    assert integrate(power) == comb(n, 4) * integrate(sigma(GR24, (1,)) ** 4)
+    start = time.perf_counter()
+    power = (2 * unit(PS) + zeta(PS)) ** n
+    assert time.perf_counter() - start < 1.0
+    assert integrate(power) == comb(n, 5) * 2 ** (n - 5) * integrate(zeta(PS) ** 5)
 
 
 # -- projective bundle towers ------------------------------------------------

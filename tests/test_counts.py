@@ -117,7 +117,11 @@ def test_sextic_fourfold_counts(backend):
 @pytest.mark.parametrize("backend", ["symbolic", "bott"])
 @pytest.mark.parametrize(
     "ambient,degree,expected",
-    [(6, 8, 21553784182784), (8, 11, 6879170927773883986896)],
+    [
+        (6, 8, 21553784182784),
+        (8, 11, 6879170927773883986896),
+        (10, 14, 10747520834813687952698384377664),
+    ],
 )
 def test_conic_ladder(ambient, degree, expected, backend):
     # the benchmark's pinned values, on which both engines agreed

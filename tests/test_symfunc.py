@@ -3,7 +3,7 @@ from itertools import permutations
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvecount.symfunc import (
     box_complement,
@@ -204,6 +204,22 @@ def test_elementary_symmetric():
     assert elementary_symmetric(vals, 2) == 11
     assert elementary_symmetric(vals, 3) == 6
     assert elementary_symmetric(vals, 4) == 0
+
+
+def _product_coefficient(values, k):
+    # the t^k coefficient of prod(1 + v t), one factor at a time
+    poly = [1]
+    for v in values:
+        poly = [a + v * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly[k] if k < len(poly) else 0
+
+
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=9))
+@example([])
+@settings(max_examples=60, deadline=None)
+def test_elementary_symmetric_is_the_product_coefficient(values):
+    for k in range(len(values) + 2):
+        assert elementary_symmetric(values, k) == _product_coefficient(values, k)
 
 
 def test_expand_linear_product_sym2_rank2():
