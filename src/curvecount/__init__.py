@@ -17,8 +17,11 @@ from .bott import UnsupportedExpressionError, WeightCollisionError, bott_integra
 from .bundles import (
     BundleExpr,
     Dual,
+    Grassmannian,
     InvalidBundleError,
+    ProjBundle,
     RelO,
+    Space,
     Sym,
     TautQuot,
     TautSub,
@@ -30,12 +33,8 @@ from .bundles import (
 from .chern import chern_classes, euler_class, segre_classes, total_chern
 from .chow import (
     ChowElement,
-    Grassmannian,
-    ProjBundle,
-    Space,
     SpaceMismatchError,
     basis,
-    grassmannian,
     integrate,
     pullback,
     pushforward,
@@ -49,15 +48,9 @@ from .counts import (
     Check,
     DegreeMismatchError,
     HypersurfaceProblem,
-    conic_obstruction,
-    conic_space,
-    count_conics,
     count_curves,
-    count_lines,
     dimension_ledger,
     integral,
-    line_obstruction,
-    line_space,
 )
 from .gwdt import (
     InvariantTable,
@@ -107,21 +100,14 @@ __all__ = [
     "basis",
     "bott_integrate",
     "chern_classes",
-    "conic_obstruction",
-    "conic_space",
-    "count_conics",
     "count_curves",
-    "count_lines",
     "dimension_ledger",
     "dt_from_gw",
     "enumerate_partitions",
     "euler_class",
-    "grassmannian",
     "gw_from_dt",
     "integral",
     "integrate",
-    "line_obstruction",
-    "line_space",
     "lr_coefficient",
     "partition",
     "pieri_multiply",

@@ -82,18 +82,21 @@ from . import expr as ex
 from .bundles import (
     BundleExpr,
     Dual,
+    Grassmannian,
     InvalidBundleError,
+    ProjBundle,
     RelO,
+    Space,
     Sym,
     TautQuot,
     TautSub,
     TensorLine,
     Trivial,
     WhitneyQuotient,
+    bottom_grassmannian,
     mentions_rel,
     rank,
 )
-from .chow import Grassmannian, ProjBundle, Space
 from .symfunc import elementary_symmetric, sym_power_roots
 
 # weight vectors tried by bott_integrate before it gives up
@@ -119,12 +122,6 @@ def weight_search(seed: int, n: int) -> tuple[int, ...]:
         return tuple(range(n))
     rng = random.Random(seed)
     return tuple(rng.sample(range(1, 10**6), n))
-
-
-def ambient_size(space: Space) -> int:
-    """Number of torus weights needed: the n of the bottom Grassmannian,
-    read off as rank S + rank Q."""
-    return rank(TautSub(), space) + rank(TautQuot(), space)
 
 
 def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
@@ -431,7 +428,7 @@ def bott_integrate(
         raise UnsupportedExpressionError(
             f"integrand degree {top} exceeds dim {space.dim} of {ex.format_expr(space)}"
         )
-    n = ambient_size(space)
+    n = bottom_grassmannian(space).n
     values = []
     for seed in range(MAX_SEED):
         try:

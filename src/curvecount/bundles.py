@@ -1,18 +1,23 @@
-"""Vector-bundle expression trees.
+"""Spaces and the vector-bundle expression trees read on them.
 
-A bundle expression is a small immutable tree built from the tautological
-subbundle and quotient of a Grassmannian, trivial bundles, duals, symmetric
-powers, twists by a line bundle, quotients of an inclusion, and the relative
-O(k) of a projective bundle.  The tree only records *what* the bundle is;
-Chern-class evaluation and equivariant weights live elsewhere.
+A space is a Grassmannian Gr(k, n) or a projective bundle P(E) over a space,
+with E a bundle expression on the base; P(E) parametrizes the rank-one
+subspaces of E.  A bundle expression is a small immutable tree built from the
+tautological subbundle and quotient of the bottom Grassmannian, trivial
+bundles, duals, symmetric powers, twists by a line bundle, quotients of an
+inclusion, and the relative O(k) of a projective bundle.  Spaces and trees
+only record *what* they are: both engines read them, and Chern classes and
+equivariant weights live in the engines, so this module imports no other
+module of the package.
 
 Ranks depend on the space the expression is read on (the tautological ranks
-come from the underlying Grassmannian), so `rank` takes the space as well.
+come from the bottom Grassmannian), so `rank` takes the space as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 
@@ -82,16 +87,13 @@ BundleExpr = (
 )
 
 
-def rank(expr: BundleExpr, space) -> int:
+def rank(expr: BundleExpr, space: Space) -> int:
     """Rank of the expression read on `space`, validating the tree shape."""
-    # local import: chow depends on this module for ranks, not the reverse
-    from .chow import ProjBundle
-
     if isinstance(expr, TautSub):
-        g = _bottom_grassmannian(space)
+        g = bottom_grassmannian(space)
         return g.k
     if isinstance(expr, TautQuot):
-        g = _bottom_grassmannian(space)
+        g = bottom_grassmannian(space)
         return g.n - g.k
     if isinstance(expr, Trivial):
         return expr.rank
@@ -133,9 +135,63 @@ def mentions_rel(expr: BundleExpr) -> bool:
     return False
 
 
-def _bottom_grassmannian(space):
-    from .chow import Grassmannian, ProjBundle
+# -- spaces ------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class Grassmannian:
+    k: int
+    n: int
+
+    def __post_init__(self):
+        if not 0 < self.k < self.n:
+            raise ValueError(f"need 0 < k < n, got Gr({self.k}, {self.n})")
+
+    @property
+    def rows(self) -> int:
+        return self.k
+
+    @property
+    def cols(self) -> int:
+        return self.n - self.k
+
+    @property
+    def dim(self) -> int:
+        return self.k * (self.n - self.k)
+
+    def __repr__(self) -> str:
+        return f"Gr({self.k},{self.n})"
+
+
+@dataclass(frozen=True)
+class ProjBundle:
+    base: "Space"
+    bundle: BundleExpr
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("projectivized bundle must have positive rank")
+
+    # computed once per instance and kept out of equality, hash and repr,
+    # which read only the dataclass fields
+    @cached_property
+    def rank(self) -> int:
+        return rank(self.bundle, self.base)
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim + self.rank - 1
+
+    def __repr__(self) -> str:
+        return f"P({self.bundle!r} over {self.base!r})"
+
+
+Space = Grassmannian | ProjBundle
+
+
+def bottom_grassmannian(space: Space) -> Grassmannian:
+    """The Grassmannian at the bottom of a tower; its n is the number of
+    torus weights the space needs."""
     while isinstance(space, ProjBundle):
         space = space.base
     if not isinstance(space, Grassmannian):

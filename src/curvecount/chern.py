@@ -51,8 +51,11 @@ from . import bundles, chow, symfunc
 from .bundles import (
     BundleExpr,
     Dual,
+    Grassmannian,
     InvalidBundleError,
+    ProjBundle,
     RelO,
+    Space,
     Sym,
     TautQuot,
     TautSub,
@@ -60,7 +63,7 @@ from .bundles import (
     Trivial,
     WhitneyQuotient,
 )
-from .chow import ChowElement, Grassmannian, ProjBundle, Space
+from .chow import ChowElement
 
 
 @lru_cache(maxsize=None)

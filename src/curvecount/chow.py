@@ -1,9 +1,10 @@
 """Chow rings with exact coefficients.
 
-Two kinds of spaces are supported: Grassmannians Gr(k, n), whose ring is
-written in the Schubert basis indexed by partitions in the k x (n-k) box, and
-projective bundles P(E) over a supported space, whose elements are towers
-(a_0, ..., a_{r-1}) standing for sum_i zeta^i * pullback(a_i) with r = rank E.
+This module holds the ring only; the spaces it is taken on are described in
+`bundles`.  The ring of a Grassmannian Gr(k, n) is written in the Schubert
+basis indexed by partitions in the k x (n-k) box.  The ring of a projective
+bundle P(E) over a space holds towers (a_0, ..., a_{r-1}) standing for
+sum_i zeta^i * pullback(a_i) with r = rank E.
 
 Conventions, pinned by the self-checks in the test suite:
 
@@ -34,73 +35,17 @@ return a `Fraction` either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
-from . import bundles, symfunc
+from . import symfunc
+from .bundles import Grassmannian, ProjBundle, Space
 from .symfunc import Partition
 
 
 class SpaceMismatchError(ValueError):
     """Operands live on different spaces."""
-
-
-@dataclass(frozen=True)
-class Grassmannian:
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got Gr({self.k}, {self.n})")
-
-    @property
-    def rows(self) -> int:
-        return self.k
-
-    @property
-    def cols(self) -> int:
-        return self.n - self.k
-
-    @property
-    def dim(self) -> int:
-        return self.k * (self.n - self.k)
-
-    def __repr__(self) -> str:
-        return f"Gr({self.k},{self.n})"
-
-
-@dataclass(frozen=True)
-class ProjBundle:
-    base: "Space"
-    bundle: "bundles.BundleExpr"
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("projectivized bundle must have positive rank")
-
-    # computed once per instance and kept out of equality, hash and repr,
-    # which read only the dataclass fields
-    @cached_property
-    def rank(self) -> int:
-        return bundles.rank(self.bundle, self.base)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + self.rank - 1
-
-    def __repr__(self) -> str:
-        return f"P({self.bundle!r} over {self.base!r})"
-
-
-Space = Grassmannian | ProjBundle
-
-
-def grassmannian(k: int, n: int) -> Grassmannian:
-    """The Chow-ring descriptor of Gr(k, n); rejects invalid (k, n)."""
-    return Grassmannian(k, n)
 
 
 @lru_cache(maxsize=None)

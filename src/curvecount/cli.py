@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import bott, counts, gwdt
 from . import expr as ex
-from .chow import Space
+from .bundles import Space
 from .counts import Check, HypersurfaceProblem
 from .expr import ExprSyntaxError
 

@@ -34,8 +34,19 @@ from typing import Callable, NamedTuple
 
 from . import bott, bundles, chern, chow, gwdt
 from . import expr as ex
-from .bundles import Dual, RelO, Sym, TautQuot, TautSub, TensorLine, WhitneyQuotient
-from .chow import ChowElement, Grassmannian, ProjBundle, Space
+from .bundles import (
+    Dual,
+    Grassmannian,
+    ProjBundle,
+    RelO,
+    Space,
+    Sym,
+    TautQuot,
+    TautSub,
+    TensorLine,
+    WhitneyQuotient,
+)
+from .chow import ChowElement
 
 
 class DegreeMismatchError(ValueError):
@@ -141,7 +152,7 @@ class HypersurfaceProblem:
         return ex.Product(euler + (self.incidence,) if self.insertion_codim else euler)
 
 
-# the families' spaces and bundles under their own names
+# the families' spaces and bundles under their own names, read by bench/child.py
 line_space, line_obstruction = FAMILIES[1].space, FAMILIES[1].obstruction
 conic_space, conic_obstruction = FAMILIES[2].space, FAMILIES[2].obstruction
 
@@ -180,10 +191,7 @@ def curve_plane_degree(problem: HypersurfaceProblem) -> Fraction:
     which must be a constant times the unit of the moduli."""
     h = chow.zeta(universal_curve_space(problem))
     down = chow.pushforward(universal_curve_class(problem) * h)
-    constant = down
-    while not isinstance(constant.space, Grassmannian):
-        constant = constant.data[0]  # the zeta^0 slot of a tower element
-    degree = constant.coefficient(())
+    degree = Fraction(down._constant())
     if down != degree * chow.unit(down.space):
         raise ArithmeticError("fiber degree is not constant over the moduli")
     return degree
@@ -231,6 +239,7 @@ def count_curves(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fra
     return integral(space, integrand, backend)
 
 
+# count_curves for one family, read by bench/child.py and bench/tracing.py
 def count_lines(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
     """Lines on a generic hypersurface, optionally meeting a codim-k linear subspace."""
     if problem.curve_degree != 1:
@@ -349,7 +358,7 @@ def acceptance_checks() -> list[Check]:
             ex.evaluate(problem.incidence, problem.space),
             incidence_from_universal_curve(problem),
         ))
-    gr24 = chow.grassmannian(2, 4)
+    gr24 = Grassmannian(2, 4)
     whitney = chern.total_chern(TautSub(), gr24) * chern.total_chern(TautQuot(), gr24)
     checks.append(Check("Whitney: c(S)c(Q) = 1 on Gr(2,4)", chow.unit(gr24), whitney))
     checks.append(Check("duality: sigma_1^4 on Gr(2,4)", 2,

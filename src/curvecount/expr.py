@@ -39,7 +39,10 @@ from . import chern, chow, symfunc
 from .bundles import (
     BundleExpr,
     Dual,
+    Grassmannian,
+    ProjBundle,
     RelO,
+    Space,
     Sym,
     TautQuot,
     TautSub,
@@ -48,7 +51,7 @@ from .bundles import (
     WhitneyQuotient,
     rank,
 )
-from .chow import ChowElement, Grassmannian, ProjBundle, Space
+from .chow import ChowElement
 from .symfunc import Partition
 
 

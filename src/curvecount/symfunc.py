@@ -246,11 +246,7 @@ def sym_power_roots(d: int, r: int) -> tuple[tuple[int, ...], ...]:
 def elementary_symmetric(values, k: int):
     """e_k of a finite list of exact numbers, by the usual one-pass recurrence.
 
-    e_1 is the sum and e_n the product of the n values.  Otherwise, when the
-    value with index m is taken in, e_j can be nonzero only for j <= m + 1,
-    and it reaches e_k only if the n - m - 1 values after it can add the
-    k - j factors missing, so only min(k, m + 1) >= j > max(k - n + m, 0)
-    is updated.
+    e_1 is the sum and e_n the product of the n values.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -262,8 +258,8 @@ def elementary_symmetric(values, k: int):
     if k == n:
         return prod(values)
     e = [1] + [0] * k
-    for m, v in enumerate(values):
-        for j in range(min(k, m + 1), max(k - n + m, 0), -1):
+    for v in values:
+        for j in range(k, 0, -1):
             e[j] += v * e[j - 1]
     return e[k]
 

@@ -10,9 +10,9 @@ import time
 from fractions import Fraction
 
 from curvecount import chow, cli, counts, gwdt
-from curvecount.bundles import Dual, Sym, TautQuot, TautSub
+from curvecount.bundles import Dual, Grassmannian, Sym, TautQuot, TautSub
 from curvecount.chern import segre_classes, total_chern
-from curvecount.chow import basis, grassmannian, integrate, sigma, unit, zeta
+from curvecount.chow import basis, integrate, sigma, unit, zeta
 from curvecount.counts import HypersurfaceProblem
 from curvecount.symfunc import (
     box_complement,
@@ -174,7 +174,7 @@ def test_criterion_7_property_suites():
     ok = True
 
     # Poincare duality orthonormality
-    for gr in (grassmannian(2, 4), grassmannian(2, 5), grassmannian(3, 6)):
+    for gr in (Grassmannian(2, 4), Grassmannian(2, 5), Grassmannian(3, 6)):
         top = gr.rows * gr.cols
         for lam in basis(gr):
             mu = box_complement(lam, gr.rows, gr.cols)
@@ -184,7 +184,7 @@ def test_criterion_7_property_suites():
                     ok = ok and integrate(sigma(gr, lam) * sigma(gr, nu)) == 0
 
     # Whitney sum and Chern/Segre inversion
-    gr = grassmannian(2, 5)
+    gr = Grassmannian(2, 5)
     ok = ok and total_chern(TautSub(), gr) * total_chern(TautQuot(), gr) == unit(gr)
     cs = total_chern(Sym(2, Dual(TautSub())), gr)
     ss = segre_classes(Sym(2, Dual(TautSub())), gr, gr.dim)
@@ -193,7 +193,7 @@ def test_criterion_7_property_suites():
     ok = ok and all(prod.degree_part(d).is_zero() for d in range(1, gr.dim + 1))
 
     # tower reduction idempotence
-    tower = chow.ProjBundle(grassmannian(2, 4), TautSub())
+    tower = chow.ProjBundle(Grassmannian(2, 4), TautSub())
     for k in range(6):
         elt = zeta(tower) ** k
         ok = ok and chow.reduce_tower(tower, list(elt.data)) == elt

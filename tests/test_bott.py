@@ -18,6 +18,8 @@ from curvecount.bott import (
 )
 from curvecount.bundles import (
     Dual,
+    Grassmannian,
+    ProjBundle,
     RelO,
     Sym,
     TautQuot,
@@ -25,13 +27,14 @@ from curvecount.bundles import (
     TensorLine,
     Trivial,
     WhitneyQuotient,
+    bottom_grassmannian,
 )
-from curvecount.chow import ProjBundle, grassmannian, integrate
+from curvecount.chow import integrate
 from curvecount.counts import HypersurfaceProblem, conic_space, line_space
 from curvecount.symfunc import elementary_symmetric, sym_power_roots
 
-GR24 = grassmannian(2, 4)
-GR36 = grassmannian(3, 6)
+GR24 = Grassmannian(2, 4)
+GR36 = Grassmannian(3, 6)
 CONICS = conic_space(5)
 
 S1_4 = ex.Power(ex.Schubert((1,)), 4)
@@ -64,7 +67,7 @@ def test_fixed_points_of_tower_add_an_eigenline():
 def test_sym_weights_are_the_sorted_exponent_dot_products(r):
     # distinct weights with a zero and negatives; the last two equal (a
     # zero step), negated through a dual; a trivial bundle's zeros
-    space, pt = grassmannian(r, r + 2), (tuple(range(r)), ())
+    space, pt = Grassmannian(r, r + 2), (tuple(range(r)), ())
     distinct = (3, -5, 0, 11, 7, -2, 9, 1)[: r + 2]
     last_two_equal = (distinct[: r - 1] + distinct[max(r - 2, 0):])[: r + 2]
     cases = [
@@ -134,7 +137,7 @@ def test_general_schubert_classes_localize():
         (GR36, (ex.Schubert((2, 1)), ex.Schubert((2, 1)), ex.Schubert((2, 1))), 2),
         # outside the box: a fourth row on Gr(3,6), a fourth column on Gr(2,5)
         (GR36, (ex.Schubert((1, 1, 1, 1)), ex.Schubert((3, 2))), 0),
-        (grassmannian(2, 5), (ex.Schubert((4,)), ex.Schubert((1, 1))), 0),
+        (Grassmannian(2, 5), (ex.Schubert((4,)), ex.Schubert((1, 1))), 0),
         (CONICS, (ex.Power(ex.Zeta(), 5), ex.Schubert((3, 2, 1)), ex.Schubert((2, 1))), 1),
     ]
     for space, factors, value in cases:
@@ -155,9 +158,9 @@ def test_unsupported_atoms_are_refused_before_any_fixed_point(monkeypatch):
     # Gr(10,20) has 184756 fixed points and Gr(15,30) about 1.6e8
     big = ex.Product((ex.Power(ex.Zeta(), 4), ex.Power(ex.Schubert((1,)), 96)))
     with pytest.raises(UnsupportedExpressionError):
-        bott_integrate(grassmannian(10, 20), big)
+        bott_integrate(Grassmannian(10, 20), big)
     with pytest.raises(UnsupportedExpressionError):
-        bott_integrate(grassmannian(15, 30), ex.Power(ex.Zeta(), 225))
+        bott_integrate(Grassmannian(15, 30), ex.Power(ex.Zeta(), 225))
 
 
 def test_quotient_outside_its_ambient_is_rejected():
@@ -168,7 +171,7 @@ def test_quotient_outside_its_ambient_is_rejected():
         ex.Power(ex.Schubert((1,)), 5),
     ))
     with pytest.raises(UnsupportedExpressionError, match="not contained"):
-        bott_integrate(grassmannian(2, 5), integrand)
+        bott_integrate(Grassmannian(2, 5), integrand)
 
 
 def test_below_top_degree_localizes_to_zero():
@@ -197,7 +200,7 @@ def test_tangent_weight_count_matches_dimension():
 def test_euler_class_localizes_to_weight_products():
     # integral of e(S^dual) over Gr(1,2): the line bundle O(1) on P^1 has
     # one zero, and the two fixed-point terms must assemble it
-    p1 = grassmannian(1, 2)
+    p1 = Grassmannian(1, 2)
     integrand = ex.EulerClass(Dual(TautSub()))
     assert bott_integrate(p1, integrand) == 1
 
@@ -250,12 +253,12 @@ def test_nested_tower_engines_agree(integrand, expected):
 @pytest.mark.parametrize(
     "space, integrand",
     [
-        (grassmannian(2, 5), ex.Product((ex.rational(Fraction(1, 3)), ex.Power(ex.Schubert((1,)), 6)))),
+        (Grassmannian(2, 5), ex.Product((ex.rational(Fraction(1, 3)), ex.Power(ex.Schubert((1,)), 6)))),
         (CONICS, ex.Product((ex.Power(ex.Zeta(), 5), ex.ChernClass(3, TautQuot()), ex.Power(ex.Schubert((1,)), 6)))),
         (NESTED, ex.Power(ex.Zeta(), 16)),
         (CONICS, ex.parse("c(3,Q)*s[1]^11 + zeta^5*c(2,dual(S))*s[1]^7")),
         (NESTED, ex.parse("c(6,sym(2,dual(S)))*c(2,tensor(Q,o(-1)))*zeta^8")),
-        (grassmannian(2, 5), ex.Power(ex.Schubert((1,)), 7)),
+        (Grassmannian(2, 5), ex.Power(ex.Schubert((1,)), 7)),
     ],
     ids=["rational-scalar", "conic-tower", "nested-tower", "pulled-back-sum",
          "nested-pulled-back-sym", "over-degree"],
@@ -263,7 +266,7 @@ def test_nested_tower_engines_agree(integrand, expected):
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_sum_equals_the_literal_per_point_sum(space, integrand, data):
-    n = bott.ambient_size(space)
+    n = bottom_grassmannian(space).n
     weights = tuple(data.draw(st.lists(
         st.integers(-10**4, 10**4), min_size=n, max_size=n, unique=True
     )))

@@ -5,7 +5,9 @@ import pytest
 from curvecount import bundles
 from curvecount.bundles import (
     Dual,
+    Grassmannian,
     InvalidBundleError,
+    ProjBundle,
     RelO,
     Sym,
     TautQuot,
@@ -16,21 +18,12 @@ from curvecount.bundles import (
     rank,
 )
 from curvecount.chern import chern_classes, euler_class, segre_classes, total_chern
-from curvecount.chow import (
-    ProjBundle,
-    grassmannian,
-    integrate,
-    pullback,
-    sigma,
-    unit,
-    zero,
-    zeta,
-)
+from curvecount.chow import integrate, pullback, sigma, unit, zero, zeta
 from curvecount.symfunc import expand_linear_product, sym_power_roots, weight
 
-GR24 = grassmannian(2, 4)
-GR26 = grassmannian(2, 6)
-GR36 = grassmannian(3, 6)
+GR24 = Grassmannian(2, 4)
+GR26 = Grassmannian(2, 6)
+GR36 = Grassmannian(3, 6)
 CONICS = ProjBundle(GR36, Sym(2, Dual(TautSub())))
 
 SEXTIC_RESTRICTION = Sym(6, Dual(TautSub()))
@@ -151,7 +144,7 @@ def test_whitney_quotient_classes(top, sub, space):
     pytest.param(TautSub(), GR24, id="grassmannian"),
     # on Gr(1,4) the sub is a line, so the pulled-back class is a twist
     pytest.param(TensorLine(TautQuot(), Dual(TautSub())),
-                 ProjBundle(grassmannian(1, 4), TautQuot()), id="pullback"),
+                 ProjBundle(Grassmannian(1, 4), TautQuot()), id="pullback"),
     pytest.param(SEXTIC_VANISHING, CONICS, id="conic-twist"),
     pytest.param(TensorLine(Dual(TautSub()), RelO(2)), CONICS, id="twist-o2"),
     pytest.param(NESTED_TWIST, TOWER2, id="nested-twist"),
@@ -189,7 +182,7 @@ def test_chern_classes_pull_back_through_towers():
 def test_classes_above_the_dimension_are_zero():
     # the conic bundle over Gr(3,5) has dimension 11, below the ranks of the
     # twist (15) and of the quotient (13); the tuples still run to the rank
-    conics = ProjBundle(grassmannian(3, 5), Sym(2, Dual(TautSub())))
+    conics = ProjBundle(Grassmannian(3, 5), Sym(2, Dual(TautSub())))
     assert conics.dim == 11
     twist = chern_classes(SEXTIC_VANISHING, conics)
     assert len(twist) == 16
@@ -225,7 +218,7 @@ def test_sym_classes_match_jacobi_trudi(k, n):
     # c(Sym^d X) = sum_lam c_lam s_lam(X) with c_lam the Schur coefficients of
     # the root product and s_lam(X) the Jacobi-Trudi determinant in the
     # complete classes h_j = (-1)^j s_j(X), s_j the Segre classes
-    space = grassmannian(k, n)
+    space = Grassmannian(k, n)
     S, Q = TautSub(), TautQuot()
     for X in (S, Dual(S), Q, Dual(Q), Dual(Dual(S))):
         r = rank(X, space)

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvecount import chow, expr as ex
-from curvecount.bundles import Dual, Sym, TautSub, Trivial
+from curvecount.bundles import Dual, Grassmannian, ProjBundle, Sym, TautSub, Trivial
 from curvecount.chern import chern_classes
 from curvecount.chow import (
     ChowElement,
-    Grassmannian,
-    ProjBundle,
     SpaceMismatchError,
     basis,
-    grassmannian,
     integrate,
     pullback,
     pushforward,
@@ -26,19 +23,19 @@ from curvecount.chow import (
 )
 from curvecount.symfunc import box_complement, pieri_multiply, weight
 
-GR24 = grassmannian(2, 4)
-GR25 = grassmannian(2, 5)
-GR36 = grassmannian(3, 6)
+GR24 = Grassmannian(2, 4)
+GR25 = Grassmannian(2, 5)
+GR36 = Grassmannian(3, 6)
 PS = ProjBundle(GR24, TautSub())
 PS_S = ProjBundle(PS, TautSub())
-CONICS_35 = ProjBundle(grassmannian(3, 5), Sym(2, Dual(TautSub())))
+CONICS_35 = ProjBundle(Grassmannian(3, 5), Sym(2, Dual(TautSub())))
 
 
 def test_grassmannian_validation():
     with pytest.raises(ValueError):
-        grassmannian(0, 4)
+        Grassmannian(0, 4)
     with pytest.raises(ValueError):
-        grassmannian(4, 4)
+        Grassmannian(4, 4)
     assert GR36.dim == 9
     assert repr(GR24) == "Gr(2,4)"
 
@@ -215,7 +212,7 @@ def test_trivial_bundle_tower_is_projective_space():
 def test_rank_one_tower_zeta_is_minus_c1():
     # P(L) = base, and the tautological sub-line is L itself, so
     # zeta = c_1(L^dual) = -c_1(L)
-    plane = grassmannian(1, 3)
+    plane = Grassmannian(1, 3)
     line = ProjBundle(plane, TautSub())
     z = zeta(line)
     assert z == pullback(line, sigma(plane, (1,)))

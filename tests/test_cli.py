@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from curvecount import bott, cli, counts, expr as ex, gwdt
 from curvecount.bundles import (
-    BundleExpr, Dual, RelO, Sym, TautQuot, TautSub, TensorLine, Trivial, WhitneyQuotient,
+    BundleExpr, Dual, Grassmannian, ProjBundle, RelO, Space, Sym, TautQuot, TautSub,
+    TensorLine, Trivial, WhitneyQuotient,
 )
-from curvecount.chow import ProjBundle, Space, grassmannian
 from curvecount.cli import ExprSyntaxError, parse_expression, parse_space
 
 
@@ -67,7 +67,7 @@ def _tower(bundle, base):
 
 
 def space_nodes(depth):
-    leaf = st.builds(lambda k, cols: grassmannian(k, k + cols),
+    leaf = st.builds(lambda k, cols: Grassmannian(k, k + cols),
                      st.integers(1, 4), st.integers(1, 4))
     if depth == 0:
         return leaf
@@ -94,7 +94,7 @@ def test_every_constructor_is_read_and_written():
         {ex.Zeta, ex.ChernClass, ex.EulerClass, *get_args(BundleExpr), *get_args(Space)},
         key=str,
     )
-    samples = {"bundle": TautQuot(), "space": grassmannian(2, 4)}
+    samples = {"bundle": TautQuot(), "space": Grassmannian(2, 4)}
     for name, entry in ex.CONSTRUCTORS.items():
         ints = iter((2, 4))  # gr(2,4), and sym(2,Q) stays a Sym
         node = entry.node(**{
@@ -144,9 +144,9 @@ def test_parse_reads_sym_one_as_its_argument():
 
 
 def test_parse_space():
-    assert parse_space("gr(3,6)") == grassmannian(3, 6)
+    assert parse_space("gr(3,6)") == Grassmannian(3, 6)
     tower = parse_space("pbundle(sym(2,dual(S)), gr(3,6))")
-    assert tower.base == grassmannian(3, 6)
+    assert tower.base == Grassmannian(3, 6)
     assert tower.rank == 6
 
 
@@ -307,7 +307,7 @@ def test_above_top_degree_is_refused_alike_by_every_backend(capsys):
         ("gr(2,4)", "s[1]^-1", lambda: ex.Power(ex.Schubert((1,)), -1)),
         ("gr(2,4)", "1/0", lambda: ex.rational(1, 0)),
         ("gr(2,4)", "s[1,2]", lambda: ex.Schubert((1, 2))),
-        ("gr(9,6)", "s[1]", lambda: grassmannian(9, 6)),
+        ("gr(9,6)", "s[1]", lambda: Grassmannian(9, 6)),
     ],
     ids=["triv-rank", "sym-degree", "chern-index", "exponent", "denominator",
          "increasing-schubert", "grassmannian"],

@@ -6,6 +6,7 @@ import pytest
 import curvecount
 from curvecount import bott, bundles, chern, chow, counts
 from curvecount import expr as ex
+from curvecount.bundles import Grassmannian
 from curvecount.counts import (
     DEGENERATE_CONIC_ASSUMPTION,
     DegreeMismatchError,
@@ -38,9 +39,9 @@ def test_problem_validation():
 
 
 def test_spaces():
-    assert line_space(4) == chow.grassmannian(2, 5)
+    assert line_space(4) == Grassmannian(2, 5)
     hilb = conic_space(4)
-    assert hilb.base == chow.grassmannian(3, 5)
+    assert hilb.base == Grassmannian(3, 5)
     assert hilb.dim == 11
     assert conic_space(5).dim == 14
 
@@ -148,7 +149,7 @@ def test_count_integrand_has_integer_coefficients():
 
 def test_public_results_are_fractions():
     # pinned by type: a float would pass every value test, as 2875.0 == 2875
-    gr = chow.grassmannian(2, 4)
+    gr = Grassmannian(2, 4)
     s1 = chow.sigma(gr, (1,))
     sigma1 = ex.Schubert((1,))
     results = [
@@ -197,7 +198,7 @@ def test_huge_powers_end_at_once_on_the_library_path():
     # a power stops multiplying at its first zero power, so the symbolic
     # path reads these at once, and integral reads the degree before either
     # engine runs and refuses as the command line does
-    gr24 = chow.grassmannian(2, 4)
+    gr24 = Grassmannian(2, 4)
     for space, text in ((gr24, "s[1]^1000000"), (conic_space(5), "zeta^1000000")):
         start = time.perf_counter()
         assert ex.evaluate(ex.parse(text), space) == chow.zero(space)
