@@ -15,10 +15,11 @@ share one fiber tuple.  Everything else reads the record: S and Q take their
 weights from `subset`, O(k) and zeta from the top level's eigenline, and the
 tangent weights from `subset` plus each level's fiber.
 
-The integrand is lifted once per `bott_integrate` call.  `evaluate_at` and
-`bundle_weights` walk the expression once and return per-point evaluators,
-functions of (pt, weights, memo); the walk validates every bundle through
-`rank` and refuses an atom with no lift, so a refusal comes before any fixed
+The integrand is lifted once per `bott_integrate` call, after `_validate`
+checks every bundle through `rank` and zeta's space in walk order, as the
+symbolic engine does.  `evaluate_at` and `bundle_weights` walk the
+expression once and return per-point evaluators, functions of (pt, weights,
+memo), and refuse an atom with no lift, so a refusal comes before any fixed
 point is built.  `fixed_points` lifts each tower level's bundle the same
 way, so every weight comes from one path.  Supported atoms are rational
 constants, Schubert classes, zeta (lifted as minus the weight of the chosen
@@ -29,19 +30,25 @@ elementary symmetric function of the quotient weights.  Zeta off a
 projective bundle has no lift; requesting it is an unsupported expression,
 not a wrong answer.
 
+Each bundle node has a formal character (Ellingsrud-Stromme): its weights
+as integer vectors over local slots.  At the subset I of Gr(k, n), slot
+j < k is the j-th element of I and slot k + j the j-th of the complement,
+both increasing; a weight is its vector dotted with these local weights.
+`_character` builds it once per (node, space, chain of eigenline indices,
+one per level), and every numeric list, fibres too, comes in its order.  A
+quotient's weights at a point are the top's at the positions `_kept` leaves
+for the chain; a sub not contained in the top is refused at lift time.
+
 Sym powers are the largest bundles of the integrand (Sym^20 S* has 231
 weights at each conic point of P^14), and their weights depend only on the
 argument's weights.  `_integrate_once` keeps one memo per `subset`, emptied
 when the subset changes.  The evaluators read it at a Sym node, keyed by
 (degree, argument weights).  Because the key holds the weights, a Sym of a
-twisted argument such as S(1) stays right at every eigenline.  Memoized
-weights are kept sorted.  They are built by `_sym_weights`, one dot product
-per exponent vector of all but the last two argument weights and one
-arithmetic progression in those two, so Sym^20 S* takes 21 dot products,
-not 231.  A quotient bundle's weights are the multiset difference top - sub,
-taken by one merge of the two sorted lists; a sub not contained in top has
-no lift and is refused as unsupported.  On the conic towers that merge, one
-per eigenline, is the largest per-point cost.  The memo also holds the
+twisted argument such as S(1) stays right at every eigenline.  Sym weights
+are built by `_sym_weights`, one dot product per exponent vector of all but
+the last two argument weights and one arithmetic progression in those two,
+so Sym^20 S* takes 21 dot products, not 231; the character applies it slot
+by slot, so the two orders agree by construction.  The memo also holds the
 values of the nodes pulled back from the base: on a projective bundle, a
 node that mentions neither zeta nor a relative O(k) has one value at every
 point over a subset, at any tower depth (the projection formula, localized).
@@ -73,10 +80,12 @@ backend, so agreement between the two is a real cross-check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, groupby
 from math import prod
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, neg
 
 from . import expr as ex
 from .bundles import (
@@ -148,13 +157,13 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
 def bundle_weights(expr: BundleExpr, space: Space):
     """Lift a bundle expression read on `space` to its weights at a fixed point.
 
-    Returns a function (pt, weights, memo) -> list, the multiset of
-    equivariant weights at the fixed point `pt` of `space`.  `memo` holds,
-    for the points with this `subset`, the sorted weights of the Sym nodes
+    Returns a function (pt, weights, memo) -> list, the equivariant weights
+    at the fixed point `pt` of `space`, in the order of `_character`.  `memo`
+    holds, for the points with this `subset`, the weights of the Sym nodes
     met so far, keyed by (degree, argument weights), and the values of the
     integrand's pulled-back nodes; see the module notes.  Its lists are
-    shared, so callers only read them.  A quotient is the multiset difference
-    of the sorted top and sub weights, by one merge.
+    shared, so callers only read them.  A quotient is the top's weights at
+    the positions `_kept` gives, and is refused here if it has none.
     """
     if isinstance(expr, TautSub):
         return lambda pt, weights, memo: [weights[a] for a in pt[0]]
@@ -188,10 +197,11 @@ def bundle_weights(expr: BundleExpr, space: Space):
 
         return tensor
     if isinstance(expr, WhitneyQuotient):
-        top, sub = bundle_weights(expr.top, space), bundle_weights(expr.sub, space)
-        return lambda pt, weights, memo: _difference(
-            top(pt, weights, memo), sub(pt, weights, memo)
-        )
+        top = bundle_weights(expr.top, space)
+        kept = {chain: _kept(expr, space, chain) for chain in _chains(space)}
+        return lambda pt, weights, memo: list(map(
+            top(pt, weights, memo).__getitem__, kept[tuple(i for _, i in pt[1])]
+        ))
     if isinstance(expr, RelO):
         if not isinstance(space, ProjBundle):
             raise InvalidBundleError("relative O(k) needs a projective bundle")
@@ -206,16 +216,70 @@ def bundle_weights(expr: BundleExpr, space: Space):
     raise InvalidBundleError(f"not a bundle expression: {expr!r}")
 
 
-def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
-    """The sorted weights sum_j m_j * ws[j] of Sym^degree, over the exponent
-    vectors m of `sym_power_roots(degree, len(ws))`.
+def _chains(space: Space) -> list:
+    """The local points of `space`: one eigenline index per tower level."""
+    if isinstance(space, Grassmannian):
+        return [()]
+    return [c + (i,) for c in _chains(space.base) for i in range(space.rank)]
 
-    The vectors that agree off the last two weights a, b and put k on those
-    two give the progression s + i * (a - b), i = 0..k, where s is their dot
-    product with k on b.  So one dot product per vector of
-    `sym_power_roots(degree, len(ws) - 1)` over (ws[:-2], b) gives s and k,
-    and a `range` fills the rest; a repeated weight (step 0) fills k + 1
-    copies of s.
+
+@lru_cache(maxsize=None)
+def _character(expr: BundleExpr, space: Space, chain: tuple) -> tuple:
+    """The weights of `expr` at the local point `chain` as integer vectors
+    over the local slots, in the order `bundle_weights` lists them."""
+    if isinstance(space, ProjBundle) and not mentions_rel(expr):
+        return _character(expr, space.base, chain[:-1])
+    # S, Q and triv(r) mention no O(k), so `space` is a Grassmannian here
+    if isinstance(expr, (TautSub, TautQuot)):
+        slots = range(space.k) if isinstance(expr, TautSub) else range(space.k, space.n)
+        return tuple((0,) * j + (1,) + (0,) * (space.n - 1 - j) for j in slots)
+    if isinstance(expr, Trivial):
+        return ((0,) * space.n,) * expr.rank
+    if isinstance(expr, Dual):
+        return tuple(tuple(map(neg, v)) for v in _character(expr.arg, space, chain))
+    if isinstance(expr, Sym):
+        columns = zip(*_character(expr.arg, space, chain))
+        return tuple(zip(*(_sym_weights(expr.degree, c) for c in columns)))
+    if isinstance(expr, TensorLine):
+        (t,) = _character(expr.line, space, chain)
+        return tuple(tuple(map(add, v, t)) for v in _character(expr.arg, space, chain))
+    if isinstance(expr, WhitneyQuotient):
+        top = _character(expr.top, space, chain)
+        return tuple(map(top.__getitem__, _kept(expr, space, chain)))
+    if isinstance(expr, RelO):
+        fiber = _character(space.bundle, space.base, chain[:-1])
+        return (tuple(-expr.twist * x for x in fiber[chain[-1]]),)
+    raise InvalidBundleError(f"not a bundle expression: {expr!r}")
+
+
+def _kept(expr: WhitneyQuotient, space: Space, chain: tuple) -> tuple:
+    """The positions in the top's character that remain once each vector of
+    the sub's is removed, in the top's order."""
+    left = Counter(_character(expr.sub, space, chain))
+    out = []
+    for i, v in enumerate(_character(expr.top, space, chain)):
+        if left[v]:
+            left[v] -= 1
+        else:
+            out.append(i)
+    if +left:
+        raise UnsupportedExpressionError(
+            "quotient weights are not contained in the ambient bundle"
+        )
+    return tuple(out)
+
+
+def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
+    """The weights sum_j m_j * ws[j] of Sym^degree, in the order of the
+    exponent vectors m[:-1] + (i, m[-1] - i), i = 0..m[-1], over the vectors
+    m of `sym_power_roots(degree, len(ws) - 1)`.
+
+    Each such run gives the progression s + i * (a - b), i = 0..k, with a, b
+    the last two weights, k = m[-1] and s the dot product of m with
+    (ws[:-2], b).  So one dot product per vector m gives s and k, and a
+    `range` fills the rest; a repeated weight (step 0) fills k + 1 copies of
+    s.  Each weight is linear in `ws`, so `_character` applies this slot by
+    slot to vectors.
     """
     if len(ws) == 1:
         return [degree * ws[0]]
@@ -225,23 +289,6 @@ def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
     for mono in sym_power_roots(degree, len(head)):
         s, k = sum(map(mul, mono, head)), mono[-1]
         out.extend(range(s, s + (k + 1) * step, step) if step else [s] * (k + 1))
-    out.sort()
-    return out
-
-
-def _difference(top, sub) -> list:
-    """The multiset top - sub, by one merge of the two lists sorted."""
-    sub = sorted(sub)
-    n, i, out = len(sub), 0, []
-    for w in sorted(top):
-        if i < n and sub[i] == w:
-            i += 1
-        else:
-            out.append(w)
-    if i < n:
-        raise UnsupportedExpressionError(
-            "quotient weights are not contained in the ambient bundle"
-        )
     return out
 
 
@@ -260,12 +307,11 @@ def evaluate_at(node: ex.ExprAst, space: Space):
     """Lift an integrand on `space` to its value at a fixed point.
 
     Returns a function (pt, weights, memo) -> int | Fraction; `memo` as in
-    `bundle_weights`.  The walk validates every bundle through `rank`, as the
-    symbolic engine does before computing, and refuses an atom with no lift,
-    so both happen before any fixed point is built.  On a projective bundle
-    a node that reads nothing of the fibre is pulled back from the base: its
-    value is kept in `memo`, keyed by its own evaluator, and computed once
-    per subset.
+    `bundle_weights`.  `bott_integrate` validates the integrand first, and
+    the walk refuses an atom with no lift, so both happen before any fixed
+    point is built.  On a projective bundle a node that reads nothing of the
+    fibre is pulled back from the base: its value is kept in `memo`, keyed
+    by its own evaluator, and computed once per subset.
     """
     value = _lift(node, space)
     if not isinstance(space, ProjBundle) or _reads_fibre(node):
@@ -297,6 +343,21 @@ def _reads_fibre(node: ex.ExprAst) -> bool:
     return False
 
 
+def _validate(node: ex.ExprAst, space: Space) -> None:
+    """Refuse, in walk order as the symbolic engine does, zeta off a
+    projective bundle and every bundle `rank` rejects; quotients come later."""
+    if isinstance(node, ex.Zeta) and not isinstance(space, ProjBundle):
+        raise UnsupportedExpressionError("zeta only lives on a projective bundle")
+    if isinstance(node, (ex.ChernClass, ex.EulerClass)):
+        rank(node.bundle, space)
+    if isinstance(node, ex.Power):
+        _validate(node.base, space)
+    for child in node.factors if isinstance(node, ex.Product) else ():
+        _validate(child, space)
+    for child in node.terms if isinstance(node, ex.Sum) else ():
+        _validate(child, space)
+
+
 def _lift(node: ex.ExprAst, space: Space):
     """The evaluator of `node` itself; its children are lifted by `evaluate_at`."""
     if isinstance(node, ex.Rational):
@@ -323,8 +384,6 @@ def _lift(node: ex.ExprAst, space: Space):
 
         return schubert
     if isinstance(node, ex.Zeta):
-        if not isinstance(space, ProjBundle):
-            raise UnsupportedExpressionError("zeta only lives on a projective bundle")
         # zeta is c1 of O(1)
         line = bundle_weights(RelO(1), space)
         return lambda pt, weights, memo: line(pt, weights, memo)[0]
@@ -334,7 +393,6 @@ def _lift(node: ex.ExprAst, space: Space):
         index, ws = node.index, bundle_weights(node.bundle, space)
         return lambda pt, weights, memo: elementary_symmetric(ws(pt, weights, memo), index)
     if isinstance(node, ex.EulerClass):
-        rank(node.bundle, space)
         ws = bundle_weights(node.bundle, space)
         return lambda pt, weights, memo: prod(ws(pt, weights, memo))
     if isinstance(node, ex.Power):
@@ -420,6 +478,7 @@ def bott_integrate(
     disagreement means the integrand has no well-defined ordinary integral
     and is reported as unsupported.
     """
+    _validate(integrand, space)
     numerator = evaluate_at(integrand, space)
     if weights is not None:
         return _integrate_once(space, numerator, tuple(weights))

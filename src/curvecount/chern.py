@@ -101,8 +101,13 @@ def chern_classes(expr: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
 
 
 def euler_class(expr: BundleExpr, space: Space) -> ChowElement:
-    """Top Chern class."""
-    return chern_classes(expr, space)[-1]
+    """Top Chern class; of a quotient, only that class is built."""
+    if not isinstance(expr, WhitneyQuotient):
+        return chern_classes(expr, space)[-1]
+    rq = bundles.rank(expr, space)
+    if rq > space.dim:
+        return chow.zero(space)
+    return _quotient_class(expr.top, expr.sub, space, rq)
 
 
 def total_chern(expr: BundleExpr, space: Space) -> ChowElement:
@@ -229,10 +234,11 @@ def _quotient_classes(top: BundleExpr, sub: BundleExpr, space: Space) -> tuple[C
     # which is at most the rank of top
     rq = bundles.rank(top, space) - bundles.rank(sub, space)
     last = min(rq, space.dim)
-    top_cs = chern_classes(top, space)
-    sub_ss = _segre_series(sub, space)
-    out = tuple(
-        chow.sum_of_products(space, ((1, top_cs[k - i], sub_ss[i]) for i in range(k + 1)))
-        for k in range(last + 1)
-    )
+    out = tuple(_quotient_class(top, sub, space, k) for k in range(last + 1))
     return out + (chow.zero(space),) * (rq - last)
+
+
+def _quotient_class(top: BundleExpr, sub: BundleExpr, space: Space, k: int) -> ChowElement:
+    """c_k(top / sub) = sum_i c_(k-i)(top) s_i(sub), for k <= rank, dim."""
+    top_cs, sub_ss = chern_classes(top, space), _segre_series(sub, space)
+    return chow.sum_of_products(space, ((1, top_cs[k - i], sub_ss[i]) for i in range(k + 1)))

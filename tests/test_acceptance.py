@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from curvecount import chow, cli, counts, gwdt
-from curvecount.bundles import Dual, Grassmannian, Sym, TautQuot, TautSub
+from curvecount.bundles import Dual, Grassmannian, ProjBundle, Sym, TautQuot, TautSub
 from curvecount.chern import segre_classes, total_chern
 from curvecount.chow import basis, integrate, sigma, unit, zeta
 from curvecount.counts import HypersurfaceProblem
@@ -193,7 +193,7 @@ def test_criterion_7_property_suites():
     ok = ok and all(prod.degree_part(d).is_zero() for d in range(1, gr.dim + 1))
 
     # tower reduction idempotence
-    tower = chow.ProjBundle(Grassmannian(2, 4), TautSub())
+    tower = ProjBundle(Grassmannian(2, 4), TautSub())
     for k in range(6):
         elt = zeta(tower) ** k
         ok = ok and chow.reduce_tower(tower, list(elt.data)) == elt

@@ -4,7 +4,7 @@ from math import comb, prod
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvecount import bott, expr as ex
 from curvecount.bott import (
@@ -19,6 +19,7 @@ from curvecount.bott import (
 from curvecount.bundles import (
     Dual,
     Grassmannian,
+    InvalidBundleError,
     ProjBundle,
     RelO,
     Sym,
@@ -28,6 +29,7 @@ from curvecount.bundles import (
     Trivial,
     WhitneyQuotient,
     bottom_grassmannian,
+    rank,
 )
 from curvecount.chow import integrate
 from curvecount.counts import HypersurfaceProblem, conic_space, line_space
@@ -65,8 +67,11 @@ def test_fixed_points_of_tower_add_an_eigenline():
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_sym_weights_are_the_sorted_exponent_dot_products(r):
-    # distinct weights with a zero and negatives; the last two equal (a
-    # zero step), negated through a dual; a trivial bundle's zeros
+    # the weights come unsorted, in the documented exponent order: one run
+    # per vector m of sym_power_roots(d, r - 1), putting i = 0..m[-1] on the
+    # second to last argument weight and m[-1] - i on the last.  Distinct
+    # weights with a zero and negatives; the last two equal (a zero step),
+    # negated through a dual; a trivial bundle's zeros
     space, pt = Grassmannian(r, r + 2), (tuple(range(r)), ())
     distinct = (3, -5, 0, 11, 7, -2, 9, 1)[: r + 2]
     last_two_equal = (distinct[: r - 1] + distinct[max(r - 2, 0):])[: r + 2]
@@ -75,12 +80,21 @@ def test_sym_weights_are_the_sorted_exponent_dot_products(r):
         (Dual(TautSub()), last_two_equal),
         (Trivial(r), distinct),
     ]
+    orders = [
+        [(d,)] if r == 1 else [
+            m[:-1] + (i, m[-1] - i)
+            for m in sym_power_roots(d, r - 1) for i in range(m[-1] + 1)
+        ]
+        for d in range(21)
+    ]
+    for d, order in enumerate(orders):
+        assert sorted(order) == sorted(sym_power_roots(d, r))
     for arg, weights in cases:
         ws = tuple(bundle_weights(arg, space)(pt, weights, {}))
-        for d in range(21):
+        for d, order in enumerate(orders):
             memo = {}
             got = bundle_weights(Sym(d, arg), space)(pt, weights, memo)
-            assert got == sorted([sum(map(mul, m, ws)) for m in sym_power_roots(d, r)])
+            assert got == [sum(map(mul, m, ws)) for m in order]
             assert memo == {(d, ws): got}
 
 
@@ -161,6 +175,18 @@ def test_unsupported_atoms_are_refused_before_any_fixed_point(monkeypatch):
         bott_integrate(Grassmannian(10, 20), big)
     with pytest.raises(UnsupportedExpressionError):
         bott_integrate(Grassmannian(15, 30), ex.Power(ex.Zeta(), 225))
+
+
+def test_quotients_outside_their_ambient_are_refused_before_any_fixed_point(monkeypatch):
+    def enumerate_nothing(space, weights):
+        raise AssertionError("fixed points were built for a refused integrand")
+
+    monkeypatch.setattr(bott, "fixed_points", enumerate_nothing)
+    with pytest.raises(UnsupportedExpressionError, match="not contained"):
+        bott_integrate(Grassmannian(2, 5), ex.parse("c(1,quot(Q,S))*s[1]^5"))
+    # O(1) has minus the eigenline's weight, which is no weight of Sym^2 S*
+    with pytest.raises(UnsupportedExpressionError, match="not contained"):
+        bott_integrate(CONICS, ex.parse("c(1,quot(sym(2,dual(S)),o(1)))*zeta^13"))
 
 
 def test_quotient_outside_its_ambient_is_rejected():
@@ -309,3 +335,86 @@ def test_factors_pulled_back_from_the_base_are_evaluated_once_per_subset(
     # bott_integrate sums at two admissible weight vectors; a colliding one
     # is refused before any point is evaluated
     assert calls == [3] * (2 * evaluations)
+
+
+def test_sym_weights_run_for_the_top_once_per_subset_and_never_for_the_sub(monkeypatch):
+    sym_weights, degrees = bott._sym_weights, []
+
+    def counted(degree, ws):
+        degrees.append(degree)
+        return sym_weights(degree, ws)
+
+    monkeypatch.setattr(bott, "_sym_weights", counted)
+    # conics on the sextic fourfold: e(Sym^6 S* / Sym^4 S* (-1)); the fibre
+    # Sym^2 S* is built once per point below, at every seed tried
+    assert bott_integrate(CONICS, HypersurfaceProblem(5, 6, 2, 2).integrand) == 440884080
+    assert degrees.count(6) == 2 * comb(6, 3)
+    assert 4 not in degrees
+
+
+def _bundles(space, depth):
+    if isinstance(space, ProjBundle):
+        line = st.builds(RelO, st.integers(-2, 2))
+    else:
+        line = st.just(Trivial(1))
+    leaf = st.one_of(st.just(TautSub()), st.just(TautQuot()),
+                     st.builds(Trivial, st.integers(1, 2)), line)
+    if depth == 0:
+        return leaf
+    inner = _bundles(space, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Dual, inner),
+        st.builds(Sym, st.integers(0, 3), inner),
+        st.builds(TensorLine, inner, line),
+        st.builds(WhitneyQuotient, inner, inner),
+    )
+
+
+def _subtrees(bundle):
+    yield bundle
+    for field in ("arg", "line", "top", "sub"):
+        if hasattr(bundle, field):
+            yield from _subtrees(getattr(bundle, field))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_numeric_weights_are_the_character_dotted_with_the_local_weights(data):
+    space = data.draw(st.sampled_from([
+        Grassmannian(1, 3), GR24, ProjBundle(GR24, Dual(TautSub())),
+        ProjBundle(Grassmannian(1, 3), Sym(2, TautQuot())), CONICS, NESTED,
+    ]))
+    bundle = data.draw(st.one_of(
+        _bundles(space, 2),
+        # contained by construction: Sym^d B (-1) sits in Sym^(d+1) B
+        st.builds(lambda d: WhitneyQuotient(Sym(d + 1, space.bundle),
+                                            TensorLine(Sym(d, space.bundle), RelO(-1))),
+                  st.integers(0, 2)) if isinstance(space, ProjBundle) else st.nothing(),
+    ))
+    try:
+        rank(bundle, space)
+    except InvalidBundleError:
+        assume(False)
+    n = bottom_grassmannian(space).n
+    weights = tuple(data.draw(st.lists(
+        st.integers(-10**4, 10**4), min_size=n, max_size=n, unique=True
+    )))
+    try:
+        pts = fixed_points(space, weights)
+    except WeightCollisionError:
+        assume(False)
+    for node in _subtrees(bundle):
+        try:
+            lifted = bundle_weights(node, space)
+        except UnsupportedExpressionError:
+            continue  # a quotient whose sub is not in its top
+        for pt in pts:
+            subset, levels = pt
+            local = [weights[a] for a in subset] + [
+                w for b, w in enumerate(weights) if b not in subset
+            ]
+            chain = tuple(idx for _, idx in levels)
+            assert lifted(pt, weights, {}) == [
+                sum(map(mul, v, local)) for v in bott._character(node, space, chain)
+            ], (node, pt)

@@ -2,7 +2,6 @@ from math import comb
 
 import pytest
 
-from curvecount import bundles
 from curvecount.bundles import (
     Dual,
     Grassmannian,
@@ -171,6 +170,26 @@ def test_euler_class_of_cubic_surface_bundle():
     c2 = sigma(GR24, (1, 1))
     assert e == 18 * c1 * c1 * c2 + 9 * c2 * c2
     assert integrate(e) == 27
+
+
+@pytest.mark.parametrize(
+    "bundle, space",
+    [
+        (WhitneyQuotient(Sym(3, Dual(TautSub())), Trivial(1)), GR24),
+        # a virtual quotient, c(Q)/c(S)
+        (WhitneyQuotient(TautQuot(), TautSub()), Grassmannian(2, 5)),
+        # rank 4 above dim 2
+        (WhitneyQuotient(Sym(4, TautQuot()), Trivial(1)), Grassmannian(1, 3)),
+        (SEXTIC_OBSTRUCTION, CONICS),
+        (WhitneyQuotient(Sym(2, Dual(TautSub())), TautSub()), CONICS),
+        # rank 20 above dim 14
+        (WhitneyQuotient(Sym(5, Dual(TautSub())), RelO(-1)), CONICS),
+    ],
+    ids=["sym-by-trivial", "virtual", "above-dim", "sextic-obstruction", "pulled-back",
+         "tower-above-dim"],
+)
+def test_euler_class_of_a_quotient_is_its_top_chern_class(bundle, space):
+    assert euler_class(bundle, space) == chern_classes(bundle, space)[-1]
 
 
 def test_chern_classes_pull_back_through_towers():
