@@ -6,13 +6,16 @@ Evaluation rules:
   c_i(Q) = sigma_{(i)};
 - duals flip the sign of odd classes;
 - symmetric powers go through Chern roots: the product of the root linear
-  forms is expanded in the Schur basis (`symfunc.expand_linear_product`),
-  and each s_lam of the argument is a class of the space.  When the argument
-  is S, Q or a dual of either, s_lam is read off by Giambelli as a signed
-  Schubert class, s_lam(S*) = sigma_lam and s_lam(Q) = sigma_lam', with
-  (-1)^|lam| per dual, so the class is one linear combination and needs no
-  ring product.  Any other argument builds s_lam by the Pieri rule from the
-  complete classes h_j = (-1)^j s_j, s_j its Segre classes;
+  forms is expanded in the Schur basis as one packed integer, box-bounded
+  (`symfunc.expand_linear_product`), and each s_lam of the argument is a
+  class of the space.  When the argument is S, Q or a dual of either, s_lam
+  is read off by Giambelli as a signed Schubert class, s_lam(S*) = sigma_lam
+  and s_lam(Q) = sigma_lam', with (-1)^|lam| per dual, so the class is one
+  linear combination and needs no ring product; the expansion then stops at
+  the box of the bottom Grassmannian, lam_1 <= n - k for S and S* and
+  lam_1 <= k for Q and Q*, outside which the Schubert class is zero.  Any
+  other argument builds s_lam by the Pieri rule from the complete classes
+  h_j = (-1)^j s_j, s_j its Segre classes, with no box;
 - twists by a line bundle use c_k(E ox L) =
   sum_i binom(rank E - i, k - i) c_i(E) c1(L)^(k-i);
 - quotients multiply by the Segre series of the sub:
@@ -168,11 +171,10 @@ def _line_powers(line: BundleExpr, space: Space, top: int) -> list[ChowElement]:
 
 def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
     ra = bundles.rank(arg, space)
-    coeffs = symfunc.expand_linear_product(
-        symfunc.sym_power_roots(d, ra), ra, space.dim
-    )
-    schur = _schur_classes(arg, space, max(map(symfunc.weight, coeffs)))
-    by_weight: list[list] = [[] for _ in range(comb(ra + d - 1, d) + 1)]
+    forms = symfunc.sym_power_roots(d, ra)
+    cols, schur = _schur_classes(arg, space, min(space.dim, len(forms)))
+    coeffs = symfunc.expand_linear_product(forms, ra, space.dim, cols)
+    by_weight: list[list] = [[] for _ in range(len(forms) + 1)]
     for lam, c in coeffs.items():
         sign, x = schur(lam)
         by_weight[symfunc.weight(lam)].append((sign * c, x, None))
@@ -180,16 +182,20 @@ def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ..
 
 
 def _schur_classes(arg: BundleExpr, space: Space, top: int):
-    """A function lam -> (sign, x) with s_lam(arg) = sign * x, for |lam| <= top."""
+    """(cols, schur): schur(lam) = (sign, x) with s_lam(arg) = sign * x, for
+    |lam| <= top.  When cols is not None, s_lam(arg) is zero for lam_1 > cols."""
     inner, duals = arg, 0
     while isinstance(inner, Dual):
         inner, duals = inner.arg, duals + 1
     if isinstance(inner, (TautSub, TautQuot)):
         # Giambelli: s_lam(S*) = sigma_lam and s_lam(Q) = sigma_lam', and
-        # s_lam(E*) = (-1)^|lam| s_lam(E); S is the dual of S*
+        # s_lam(E*) = (-1)^|lam| s_lam(E); S is the dual of S*.  A Schubert
+        # class outside the k x (n - k) box is zero, so lam_1 <= n - k for
+        # S and S*, and lam_1 <= k for Q and Q*
+        g = bundles.bottom_grassmannian(space)
         transpose = isinstance(inner, TautQuot)
         duals += not transpose
-        return lambda lam: (
+        return g.k if transpose else g.n - g.k, lambda lam: (
             (-1) ** (duals * symfunc.weight(lam)),
             chow.sigma(space, symfunc.conjugate(lam) if transpose else lam),
         )
@@ -210,7 +216,7 @@ def _schur_classes(arg: BundleExpr, space: Space, top: int):
             )
         return schur[lam]
 
-    return lambda lam: (1, s(lam))
+    return None, lambda lam: (1, s(lam))
 
 
 def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[ChowElement, ...]:

@@ -6,7 +6,9 @@ its grammar, in `curvecount.expr`.
 Exit codes: 0 success, 1 a reported check failed, 2 syntax error in an
 expression, space or table, or a usage error in the arguments, 3 semantic
 error (invalid bundle/space combination, degree mismatch, unsupported
-integrand), 141 the reader closed standard output early (a broken pipe).
+integrand), 4 out of memory (an allocation failed, or a computation was
+refused because it could not fit), 141 the reader closed standard output
+early (a broken pipe).
 """
 
 from __future__ import annotations
@@ -249,6 +251,12 @@ def main(argv=None) -> int:
     except (ValueError, gwdt.MissingDivisorError, bott.WeightCollisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        # a failed allocation carries no message, a refusal says what it needed
+        detail = str(err)
+        print(f"error: out of memory: {detail}" if detail else "error: out of memory",
+              file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

@@ -7,7 +7,9 @@ partition enumeration, the Pieri rule, Littlewood-Richardson numbers by one
 walk that adds horizontal strips, and the Schur expansion of products of
 linear forms in Chern roots.  The walk adds the rows of one factor to the
 other, one labelled strip per row under the lattice condition; the Pieri
-rule is its one-strip case.
+rule is its one-strip case.  The root product is held as a packed integer,
+box-bounded: one fixed-width slot per root monomial, with exponents capped
+at what the partitions inside a caller's box can read.
 
 All functions are pure.  The caches only ever store values that any caller
 would recompute identically, so concurrent readers and redundant concurrent
@@ -16,6 +18,7 @@ writes are harmless.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from itertools import permutations
 from math import prod
@@ -264,7 +267,9 @@ def elementary_symmetric(values, k: int):
     return e[k]
 
 
-def expand_linear_product(forms, nvars: int, truncation: int) -> dict[Partition, int]:
+def expand_linear_product(
+    forms, nvars: int, truncation: int, cols: int | None = None
+) -> dict[Partition, int]:
     """Expand prod(1 + sum_j m_j x_j) in the Schur basis s_lam(x_1..x_nvars).
 
     `forms` lists the integer coefficient vectors m over the roots x_1..x_nvars,
@@ -273,10 +278,20 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> dict[Partition,
     equals the one of its exponent vector sorted, else ValueError (a root
     multiset not closed under the symmetric group is a bug in the caller).
 
-    The monomial coefficients live in one flat list, ordered by degree.
-    Each factor multiplies it in place, highest degree first, so a
-    coefficient is read before the factor adds into it, and only the degrees
-    the factors so far can reach are visited.
+    The truncated product is held as a packed integer, box-bounded: the
+    monomial x^a is a slot of a fixed number of bytes at position
+    sum_i a_i * step_i, and multiplying by 1 + m.x is
+    f + sum_i m_i * (f << shift_i) followed by an AND with a mask that keeps
+    the slots of total degree at most the truncation and each exponent a_i
+    at most cap_i.  The terms of negative sign go to a second packed integer,
+    so no slot ever borrows.  A slot of degree j, for the part of either
+    sign, is at most e_j(s) with s_f = sum_i |m_fi| per form; the width
+    holds e_j for every j up to one past the truncation, so the slots a
+    multiply carries one degree too high, which the mask then drops, never
+    overflow into a kept slot.  Digit i has radix cap_i + 2, so an exponent
+    of cap_i + 1 stays inside its digit.  The packed size is known before
+    any monomial is listed: when eight integers of that size cannot fit in
+    physical memory, MemoryError is raised at once.
 
     The Schur coefficients are read off with Jacobi's bialternant
     s_lam = a_{lam+delta} / a_delta: c_lam = sum_w sgn(w) [x^(lam_i + w(i) - i)]
@@ -284,61 +299,101 @@ def expand_linear_product(forms, nvars: int, truncation: int) -> dict[Partition,
     pinned (their exponents w(i) - i would turn negative), so w runs over the
     first len(lam) rows only.  The result maps each partition with at most
     `nvars` rows and weight at most `truncation` to its nonzero coefficient.
+    With `cols` given, only partitions with lam_1 <= cols are read: a caller
+    whose s_lam vanishes outside a box passes the box's width.  The read
+    exponent of x_(i+1) is lam_i + w(i) - i <= lam_i + nvars - 1 - i, with
+    lam_i at most cols and at most truncation / (i + 1), which gives cap_i.
+    The caps do not increase with i, so a kept monomial's exponents sorted
+    into decreasing order are kept too, and the symmetry check reads both.
     """
+    if nvars < 1:
+        raise ValueError("need at least one root")
     forms = [tuple(m) for m in forms]
     for m in forms:
         if len(m) != nvars:
             raise ValueError(f"form {m} does not have {nvars} coefficients")
     # the product has degree at most the number of factors
     top = max(min(truncation, len(forms)), 0)
-    exps: list[tuple[int, ...]] = []
-    start = []  # start[d]: position of the first monomial of degree d
-    for d in range(top + 1):
-        # the monomials of degree d are the root exponents of Sym^d
-        start.append(len(exps))
-        exps.extend(sym_power_roots(d, nvars))
-    start.append(len(exps))
-    index = {ex: i for i, ex in enumerate(exps)}
-    # up[i][j]: position of x_j times monomial i, for monomials below the top
-    up = [
-        [index[ex[:j] + (ex[j] + 1,) + ex[j + 1:]] for j in range(nvars)]
-        for ex in exps[: start[top]]
-    ]
-    coef = [0] * len(exps)
-    coef[0] = 1
-    reached = 0  # highest degree with a nonzero coefficient so far
+    width = top if cols is None else min(cols, top)
+    caps = [min(top, min(width, top // (i + 1)) + nvars - 1 - i) for i in range(nvars)]
+    steps = [1]
+    for cap in caps:
+        steps.append(steps[-1] * (cap + 2))
+    e = [1] + [0] * (top + 1)
     for m in forms:
-        nz = [(j, mj) for j, mj in enumerate(m) if mj]
-        if not nz:
-            continue
-        for i in range(start[min(reached + 1, top)] - 1, -1, -1):
-            c = coef[i]
-            if c:
-                row = up[i]
-                for j, mj in nz:
-                    coef[row[j]] += c * mj
-        reached = min(reached + 1, top)
-    for ex, c in zip(exps, coef):
-        if coef[index[tuple(sorted(ex, reverse=True))]] != c:
+        sf = sum(abs(mj) for mj in m)
+        for j in range(top + 1, 0, -1):
+            e[j] += sf * e[j - 1]
+    wb = (max(e).bit_length() + 7) // 8  # bytes per slot
+    size = steps[-1] * wb  # bytes of a packed integer, unmasked slots too
+    if 8 * size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(
+            f"expanding {len(forms)} forms in {nvars} roots up to degree {top} "
+            f"needs {size} bytes per packed integer"
+        )
+
+    # the kept slots come in runs, one per choice of the exponents of
+    # x_2..x_n, listed as (those exponents, first slot, their degree): the
+    # exponent of x_1 is the lowest digit and runs up to min(cap_0, top - degree)
+    runs = [((), 0, 0)]
+    for i in range(nvars - 1, 0, -1):
+        runs = [
+            ((a, *ex), slot + a * steps[i], deg + a)
+            for ex, slot, deg in runs
+            for a in range(min(caps[i], top - deg) + 1)
+        ]
+    bits = bytearray(size)
+    for _, slot, deg in runs:
+        run = min(caps[0], top - deg) + 1
+        bits[slot * wb:(slot + run) * wb] = b"\xff" * (run * wb)
+    mask = int.from_bytes(bits, "little")
+
+    shifts = [8 * wb * step for step in steps[:-1]]
+    pos, neg = 1, 0
+    for m in forms:
+        p, q = pos, neg
+        for sh, mj in zip(shifts, m):
+            if mj > 0:
+                p += (pos << sh) * mj
+                if neg:
+                    q += (neg << sh) * mj
+            elif mj < 0:
+                q += (pos << sh) * -mj
+                if neg:
+                    p += (neg << sh) * -mj
+        pos, neg = p & mask, q & mask
+
+    nbytes = (mask.bit_length() + 7) // 8
+    pb, nb = pos.to_bytes(nbytes, "little"), neg.to_bytes(nbytes, "little")
+    coef: dict[tuple[int, ...], int] = {}
+    for ex, slot, deg in runs:
+        for a in range(min(caps[0], top - deg) + 1):
+            o = (slot + a) * wb
+            coef[(a, *ex)] = (
+                int.from_bytes(pb[o:o + wb], "little")
+                - int.from_bytes(nb[o:o + wb], "little")
+            )
+    for ex, c in coef.items():
+        if coef[tuple(sorted(ex, reverse=True))] != c:
             raise ValueError("product of the linear forms is not symmetric")
 
     zero_key = (0,) * nvars
-    shifts: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    signs: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     result: dict[Partition, int] = {}
-    for lam in _partitions(nvars, top, top):
+    for lam in _partitions(nvars, width, top):
         ell = len(lam)
-        if ell not in shifts:
-            shifts[ell] = [
+        if ell not in signs:
+            signs[ell] = [
                 ((-1) ** sum(w[j] > w[i] for i in range(ell) for j in range(i)),
                  tuple(w[i] - i for i in range(ell)))
                 for w in permutations(range(ell))
             ]
         pad = zero_key[ell:]
         c = 0
-        for sign, shift in shifts[ell]:
-            i = index.get(tuple(p + s for p, s in zip(lam, shift)) + pad)
-            if i is not None:
-                c += sign * coef[i]
+        for sign, shift in signs[ell]:
+            term = coef.get(tuple(p + s for p, s in zip(lam, shift)) + pad)
+            if term:
+                c += sign * term
         if c:
             result[lam] = c
     return result

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from curvecount import chern
 from curvecount.bundles import (
     Dual,
     Grassmannian,
@@ -250,3 +251,34 @@ def test_sym_classes_match_jacobi_trudi(k, n):
                     schur[lam] = _jacobi_trudi(lam, h, space)
                 expected[weight(lam)] = expected[weight(lam)] + c * schur[lam]
             assert list(chern_classes(Sym(d, X), space)) == expected, (X, d)
+
+
+@pytest.mark.parametrize("space,X,cols", [
+    pytest.param(Grassmannian(3, 7), TautSub(), 4, id="S"),
+    pytest.param(Grassmannian(3, 7), Dual(TautSub()), 4, id="S*"),
+    pytest.param(Grassmannian(3, 7), TautQuot(), 3, id="Q"),
+    pytest.param(Grassmannian(3, 7), Dual(TautQuot()), 3, id="Q*"),
+    pytest.param(Grassmannian(2, 5), Sym(2, Dual(TautSub())), None, id="sym"),
+    pytest.param(CONICS, TensorLine(Dual(TautSub()), RelO(1)), None, id="twist"),
+])
+def test_sym_classes_stop_at_the_box_only_under_giambelli(monkeypatch, space, X, cols):
+    # S, Q and their duals read s_lam as a Schubert class, zero outside the
+    # bottom Grassmannian's box, so their expansion stops at its width: n - k
+    # for S and S*, k for Q and Q*; any other argument builds s_lam by Pieri
+    # and takes the whole expansion.  Either way the classes are the
+    # Jacobi-Trudi ones of the unbounded expansion.
+    r = rank(X, space)
+    h = [(-1) ** j * sj for j, sj in enumerate(segre_classes(X, space, space.dim))]
+    seen = []
+
+    def recording(forms, nvars, truncation, cols=None):
+        seen.append(cols)
+        return expand_linear_product(forms, nvars, truncation, cols)
+
+    monkeypatch.setattr(chern.symfunc, "expand_linear_product", recording)
+    for d in (2, 3, 4):
+        expected = [zero(space)] * (comb(r + d - 1, d) + 1)
+        for lam, c in expand_linear_product(sym_power_roots(d, r), r, space.dim).items():
+            expected[weight(lam)] = expected[weight(lam)] + c * _jacobi_trudi(lam, h, space)
+        assert list(chern._sym_classes(d, X, space)) == expected, d
+    assert seen == [cols] * 3

@@ -280,6 +280,32 @@ def test_semantic_error_exit_code(capsys):
     assert err == "error: quotient weights are not contained in the ambient bundle\n"
 
 
+@pytest.mark.parametrize("backend", ["symbolic", "bott", "both"])
+def test_out_of_memory_exit_code(capsys, monkeypatch, backend):
+    # gr(40,80) by localization and Sym^2 of a rank-10 bundle on gr(4,8)
+    # once ended in a MemoryError traceback with exit 1, which reads as a
+    # failed check; a failed allocation carries no message
+    def out_of_memory(space, integrand, backend):
+        raise MemoryError
+
+    monkeypatch.setattr(counts, "integral", out_of_memory)
+    code, out, err = _run(capsys, "integrate", "--space", "gr(40,80)", "--expr", "s[1]",
+                          "--backend", backend)
+    assert (code, out, err) == (4, "", "error: out of memory\n")
+
+
+def test_a_packed_sym_expansion_beyond_memory_is_refused_at_once(capsys):
+    # Sym^2 of the rank-15 sym(2,dual(S)) on gr(5,10) would take some 55 PB
+    # per packed integer
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "integrate", "--space", "gr(5,10)",
+                          "--expr", "c(1,sym(2,sym(2,dual(S))))*s[1]^24")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (4, "")
+    assert err.startswith("error: out of memory: expanding 120 forms in 15 roots")
+    assert err.count("\n") == 1
+
+
 def test_above_top_degree_is_refused_alike_by_every_backend(capsys):
     # without the refusal the symbolic engine read 0 and localization
     # reported a weight-dependent sum

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import comb, prod
@@ -310,6 +311,48 @@ def test_expand_linear_product_matches_the_dict_product(nvars):
             got = expand_linear_product(forms, nvars, truncation)
             assert got == _reference_expand(forms, nvars, truncation), (forms, truncation)
         assert expand_linear_product(forms, nvars, 0) == {(): 1}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_expand_linear_product_in_a_box_is_the_dict_product_inside_it(nvars):
+    # nonnegative and mixed-sign orbits at every truncation up to one past
+    # the number of forms: a box width drops exactly the partitions with
+    # lam_1 > cols, and the packed product stays exact inside the box
+    pad = (0,) * (nvars - 1)
+    cases = [
+        _orbit((2,) + pad) + _orbit((1,) * nvars) + [(0,) * nvars],
+        _orbit((-1,) + (2,) * (nvars - 1)) * 2,
+    ]
+    if nvars <= 4:
+        cases.append(sym_power_roots(2, nvars))
+    for forms in cases:
+        for truncation in range(len(forms) + 2):
+            expected = _reference_expand(forms, nvars, truncation)
+            for cols in (None, 0, 1, 2, 3):
+                got = expand_linear_product(forms, nvars, truncation, cols)
+                inside = {lam: c for lam, c in expected.items()
+                          if cols is None or not lam or lam[0] <= cols}
+                assert got == inside, (forms, truncation, cols)
+
+
+@pytest.mark.parametrize("truncation", [1, 2])
+def test_expand_linear_product_slots_hold_the_degree_past_the_truncation(truncation):
+    # a multiply carries every slot one degree past the truncation before the
+    # mask drops it, and here those coefficients dwarf the kept ones: a slot
+    # sized for the kept degrees alone would carry into the next slot
+    forms = _orbit((50, 0, 0)) * 30
+    assert expand_linear_product(forms, 3, truncation) == _reference_expand(
+        forms, 3, truncation
+    )
+
+
+def test_expand_linear_product_refuses_a_packed_size_beyond_memory():
+    # Sym^2 of a rank-15 bundle up to degree 25 would take some 55 PB per
+    # packed integer: refused from its size, before any monomial is listed
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match="120 forms in 15 roots"):
+        expand_linear_product(sym_power_roots(2, 15), 15, 25)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_expand_linear_product_rejects_asymmetric():
