@@ -473,7 +473,8 @@ def bott_integrate(
     unsupported atom or a malformed bundle is refused at no cost.  With
     explicit `weights` a single evaluation runs and a degenerate choice
     raises WeightCollisionError so the caller can retry.  Without weights an
-    integrand above the top degree is refused at once, and otherwise the
+    integrand above the top degree is refused at once, one below it
+    integrates to zero without a fixed point built, and otherwise the
     seeds below MAX_SEED are walked until two admissible vectors agree;
     disagreement means the integrand has no well-defined ordinary integral
     and is reported as unsupported.
@@ -487,6 +488,8 @@ def bott_integrate(
         raise UnsupportedExpressionError(
             f"integrand degree {top} exceeds dim {space.dim} of {ex.format_expr(space)}"
         )
+    if top < space.dim:
+        return Fraction(0)
     n = bottom_grassmannian(space).n
     values = []
     for seed in range(MAX_SEED):

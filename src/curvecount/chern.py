@@ -5,12 +5,13 @@ Evaluation rules:
 - tautological classes on Gr(k, n): c_i(S) = (-1)^i sigma_{(1^i)},
   c_i(Q) = sigma_{(i)};
 - duals flip the sign of odd classes;
-- symmetric powers go through Chern roots: the product of the root linear
-  forms is expanded in the Schur basis as one packed integer, box-bounded
-  (`symfunc.expand_linear_product`), and each s_lam of the argument is a
-  class of the space.  When the argument is S, Q or a dual of either, s_lam
-  is read off by Giambelli as a signed Schubert class, s_lam(S*) = sigma_lam
-  and s_lam(Q) = sigma_lam', with (-1)^|lam| per dual, so the class is one
+- symmetric powers go through Chern roots: given the degree d and the
+  rank of the argument, `symfunc.expand_linear_product` expands the
+  product of the Sym^d root forms in the Schur basis as one packed integer,
+  box-bounded, and each s_lam of the argument is a class of the space.
+  When the argument is S, Q or a dual of either, s_lam is read off by
+  Giambelli as a signed Schubert class, s_lam(S*) = sigma_lam and
+  s_lam(Q) = sigma_lam', with (-1)^|lam| per dual, so the class is one
   linear combination and needs no ring product; the expansion then stops at
   the box of the bottom Grassmannian, lam_1 <= n - k for S and S* and
   lam_1 <= k for Q and Q*, outside which the Schubert class is zero.  Any
@@ -93,7 +94,7 @@ def chern_classes(expr: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
         inner = chern_classes(expr.arg, space)
         return tuple((-1) ** i * c for i, c in enumerate(inner))
     if isinstance(expr, Sym):
-        return _sym_classes(expr.degree, expr.arg, space)
+        return _sym_classes(expr, space)
     if isinstance(expr, TensorLine):
         return _twist_classes(expr.arg, expr.line, space)
     if isinstance(expr, WhitneyQuotient):
@@ -169,12 +170,11 @@ def _line_powers(line: BundleExpr, space: Space, top: int) -> list[ChowElement]:
     return pows
 
 
-def _sym_classes(d: int, arg: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
-    ra = bundles.rank(arg, space)
-    forms = symfunc.sym_power_roots(d, ra)
-    cols, schur = _schur_classes(arg, space, min(space.dim, len(forms)))
-    coeffs = symfunc.expand_linear_product(forms, ra, space.dim, cols)
-    by_weight: list[list] = [[] for _ in range(len(forms) + 1)]
+def _sym_classes(expr: Sym, space: Space) -> tuple[ChowElement, ...]:
+    r, ra = bundles.rank(expr, space), bundles.rank(expr.arg, space)
+    cols, schur = _schur_classes(expr.arg, space, min(space.dim, r))
+    coeffs = symfunc.expand_linear_product(expr.degree, ra, space.dim, cols)
+    by_weight: list[list] = [[] for _ in range(r + 1)]
     for lam, c in coeffs.items():
         sign, x = schur(lam)
         by_weight[symfunc.weight(lam)].append((sign * c, x, None))

@@ -284,7 +284,7 @@ def dimension_ledger() -> list[Check]:
     sections = comb(n + problem.degree, problem.degree)
     restriction = problem.curve_degree * problem.degree + 1
     through_conic = sections - 1 - restriction
-    double_lines = hilb.base.dim + line_space(2).dim
+    double_lines = hilb.base.dim + FAMILIES[1].space(2).dim
     line_pairs = n + 2 * (n - 1)
     obstruction_rank = bundles.rank(problem.obstruction, hilb)
     return [

@@ -19,7 +19,7 @@ from curvecount.bundles import (
 )
 from curvecount.chern import chern_classes, euler_class, segre_classes, total_chern
 from curvecount.chow import integrate, pullback, sigma, unit, zero, zeta
-from curvecount.symfunc import expand_linear_product, sym_power_roots, weight
+from curvecount.symfunc import expand_linear_product, weight
 
 GR24 = Grassmannian(2, 4)
 GR26 = Grassmannian(2, 6)
@@ -246,7 +246,7 @@ def test_sym_classes_match_jacobi_trudi(k, n):
         schur = {}
         for d in (2, 3, 4):
             expected = [zero(space)] * (comb(r + d - 1, d) + 1)
-            for lam, c in expand_linear_product(sym_power_roots(d, r), r, space.dim).items():
+            for lam, c in expand_linear_product(d, r, space.dim).items():
                 if lam not in schur:
                     schur[lam] = _jacobi_trudi(lam, h, space)
                 expected[weight(lam)] = expected[weight(lam)] + c * schur[lam]
@@ -271,14 +271,14 @@ def test_sym_classes_stop_at_the_box_only_under_giambelli(monkeypatch, space, X,
     h = [(-1) ** j * sj for j, sj in enumerate(segre_classes(X, space, space.dim))]
     seen = []
 
-    def recording(forms, nvars, truncation, cols=None):
+    def recording(d, r, truncation, cols=None):
         seen.append(cols)
-        return expand_linear_product(forms, nvars, truncation, cols)
+        return expand_linear_product(d, r, truncation, cols)
 
     monkeypatch.setattr(chern.symfunc, "expand_linear_product", recording)
     for d in (2, 3, 4):
         expected = [zero(space)] * (comb(r + d - 1, d) + 1)
-        for lam, c in expand_linear_product(sym_power_roots(d, r), r, space.dim).items():
+        for lam, c in expand_linear_product(d, r, space.dim).items():
             expected[weight(lam)] = expected[weight(lam)] + c * _jacobi_trudi(lam, h, space)
-        assert list(chern._sym_classes(d, X, space)) == expected, d
+        assert list(chern._sym_classes(Sym(d, X), space)) == expected, d
     assert seen == [cols] * 3

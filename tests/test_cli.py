@@ -324,6 +324,36 @@ def test_above_top_degree_is_refused_alike_by_every_backend(capsys):
     assert (code, err) == (3, "error: integrand degree 1000000 exceeds dim 4 of gr(2,4)\n")
 
 
+def test_below_top_degree_ends_at_once_by_localization(capsys):
+    # `s[1]` on gr(40,80) is far below the top degree, so its integral is 0;
+    # localization once built the fixed points anyway and ran out of memory.
+    # The child runs under a 1 GiB address-space cap and a timeout, so a
+    # regression fails the test instead of taking the machine's memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    capped = (
+        "import resource, sys; _, hard = resource.getrlimit(resource.RLIMIT_AS); "
+        "cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard); "
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard)); "
+        "sys.argv[0] = 'curvecount'; from curvecount.cli import entrypoint; entrypoint()"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, "integrate", "--space", "gr(40,80)",
+         "--expr", "s[1]", "--backend", "bott"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "integrate: 0\n", "")
+    # the zero answer comes after the checks both engines share
+    for backend in ("symbolic", "bott"):
+        assert _run(capsys, "integrate", "--space", "gr(2,4)", "--expr", "zeta",
+                    "--backend", backend) == (
+            3, "", "error: zeta only lives on a projective bundle\n")
+    assert _run(capsys, "integrate", "--space", "gr(2,5)", "--expr", "c(1,quot(Q,S))",
+                "--backend", "bott") == (
+        3, "", "error: quotient weights are not contained in the ambient bundle\n")
+
+
 @pytest.mark.parametrize(
     "space,expr,build",
     [
