@@ -15,29 +15,30 @@ share one fiber tuple.  Everything else reads the record: S and Q take their
 weights from `subset`, O(k) and zeta from the top level's eigenline, and the
 tangent weights from `subset` plus each level's fiber.
 
-The integrand is lifted once per `bott_integrate` call, after `_validate`
-checks every bundle through `rank` and zeta's space in walk order, as the
-symbolic engine does.  `evaluate_at` and `bundle_weights` walk the
-expression once and return per-point evaluators, functions of (pt, weights,
-memo), and refuse an atom with no lift, so a refusal comes before any fixed
-point is built.  `fixed_points` lifts each tower level's bundle the same
-way, so every weight comes from one path.  Supported atoms are rational
-constants, Schubert classes, zeta (lifted as minus the weight of the chosen
-eigenline), and Chern or Euler factors of bundle expressions.  sigma_1 is
-c1 of the tautological quotient, the sum of its weights; any other sigma_lam
-is the Giambelli determinant det(c_{lam_i + j - i}(Q)), with c_k(Q) the k-th
-elementary symmetric function of the quotient weights.  Zeta off a
-projective bundle has no lift; requesting it is an unsupported expression,
-not a wrong answer.
+The integrand is lifted once per `bott_integrate` call, after one walk,
+`_check`, refuses zeta off a projective bundle, where it has no lift (an
+unsupported expression, not a wrong answer), and every bundle `rank`
+rejects, in walk order as the symbolic engine does.  `evaluate_at` and
+`bundle_weights` walk the expression once and return per-point evaluators,
+functions of (pt, weights, memo), and refuse an atom with no lift, so a
+refusal comes before any fixed point is built.  `fixed_points` lifts each
+tower level's bundle the same way, so every weight comes from one path.
+Supported atoms are rational constants, Schubert classes, zeta (lifted as
+minus the weight of the chosen eigenline), and Chern or Euler factors of
+bundle expressions.  sigma_1 is c1 of the tautological quotient, the sum of
+its weights; any other sigma_lam is the Giambelli determinant
+det(c_{lam_i + j - i}(Q)), with c_k(Q) the k-th elementary symmetric
+function of the quotient weights.
 
 Each bundle node has a formal character (Ellingsrud-Stromme): its weights
 as integer vectors over local slots.  At the subset I of Gr(k, n), slot
 j < k is the j-th element of I and slot k + j the j-th of the complement,
 both increasing; a weight is its vector dotted with these local weights.
-`_character` builds it once per (node, space, chain of eigenline indices,
-one per level), and every numeric list, fibres too, comes in its order.  A
-quotient's weights at a point are the top's at the positions `_kept` leaves
-for the chain; a sub not contained in the top is refused at lift time.
+Each rule of `bundle_weights`, the one rule set, is linear in the weights,
+so `_character` reads the vectors off it at the unit weight vectors, once
+per (node, space, chain of eigenline indices, one per level).  A quotient's
+weights at a point are the top's at the positions `_kept` leaves for the
+chain; a sub not contained in the top is refused at lift time.
 
 Sym powers are the largest bundles of the integrand (Sym^20 S* has 231
 weights at each conic point of P^14), and their weights depend only on the
@@ -47,8 +48,7 @@ when the subset changes.  The evaluators read it at a Sym node, keyed by
 twisted argument such as S(1) stays right at every eigenline.  Sym weights
 are built by `_sym_weights`, one dot product per exponent vector of all but
 the last two argument weights and one arithmetic progression in those two,
-so Sym^20 S* takes 21 dot products, not 231; the character applies it slot
-by slot, so the two orders agree by construction.  The memo also holds the
+so Sym^20 S* takes 21 dot products, not 231.  The memo also holds the
 values of the nodes pulled back from the base: on a projective bundle, a
 node that mentions neither zeta nor a relative O(k) has one value at every
 point over a subset, at any tower depth (the projection formula, localized).
@@ -85,7 +85,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import prod
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, mul
 
 from . import expr as ex
 from .bundles import (
@@ -226,30 +226,23 @@ def _chains(space: Space) -> list:
 @lru_cache(maxsize=None)
 def _character(expr: BundleExpr, space: Space, chain: tuple) -> tuple:
     """The weights of `expr` at the local point `chain` as integer vectors
-    over the local slots, in the order `bundle_weights` lists them."""
+    over the local slots, in the order `bundle_weights` lists them: slot j
+    is the weight at the j-th unit weight vector over the subset range(k)."""
     if isinstance(space, ProjBundle) and not mentions_rel(expr):
         return _character(expr, space.base, chain[:-1])
-    # S, Q and triv(r) mention no O(k), so `space` is a Grassmannian here
-    if isinstance(expr, (TautSub, TautQuot)):
-        slots = range(space.k) if isinstance(expr, TautSub) else range(space.k, space.n)
-        return tuple((0,) * j + (1,) + (0,) * (space.n - 1 - j) for j in slots)
-    if isinstance(expr, Trivial):
-        return ((0,) * space.n,) * expr.rank
-    if isinstance(expr, Dual):
-        return tuple(tuple(map(neg, v)) for v in _character(expr.arg, space, chain))
-    if isinstance(expr, Sym):
-        columns = zip(*_character(expr.arg, space, chain))
-        return tuple(zip(*(_sym_weights(expr.degree, c) for c in columns)))
-    if isinstance(expr, TensorLine):
-        (t,) = _character(expr.line, space, chain)
-        return tuple(tuple(map(add, v, t)) for v in _character(expr.arg, space, chain))
-    if isinstance(expr, WhitneyQuotient):
-        top = _character(expr.top, space, chain)
-        return tuple(map(top.__getitem__, _kept(expr, space, chain)))
-    if isinstance(expr, RelO):
-        fiber = _character(space.bundle, space.base, chain[:-1])
-        return (tuple(-expr.twist * x for x in fiber[chain[-1]]),)
-    raise InvalidBundleError(f"not a bundle expression: {expr!r}")
+    lifted, n = bundle_weights(expr, space), bottom_grassmannian(space).n
+    units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+    return tuple(zip(*(lifted(_local_point(space, chain, e), e, {}) for e in units)))
+
+
+def _local_point(space: Space, chain: tuple, weights: tuple[int, ...]) -> tuple:
+    """The record over the subset range(k) with the eigenlines `chain`,
+    built level by level as `fixed_points` does."""
+    if isinstance(space, Grassmannian):
+        return tuple(range(space.k)), ()
+    subset, levels = _local_point(space.base, chain[:-1], weights)
+    fiber = tuple(bundle_weights(space.bundle, space.base)((subset, levels), weights, {}))
+    return subset, levels + ((fiber, chain[-1]),)
 
 
 def _kept(expr: WhitneyQuotient, space: Space, chain: tuple) -> tuple:
@@ -278,8 +271,7 @@ def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
     the last two weights, k = m[-1] and s the dot product of m with
     (ws[:-2], b).  So one dot product per vector m gives s and k, and a
     `range` fills the rest; a repeated weight (step 0) fills k + 1 copies of
-    s.  Each weight is linear in `ws`, so `_character` applies this slot by
-    slot to vectors.
+    s.  Each weight is linear in `ws`, as `_character` needs.
     """
     if len(ws) == 1:
         return [degree * ws[0]]
@@ -307,14 +299,14 @@ def evaluate_at(node: ex.ExprAst, space: Space):
     """Lift an integrand on `space` to its value at a fixed point.
 
     Returns a function (pt, weights, memo) -> int | Fraction; `memo` as in
-    `bundle_weights`.  `bott_integrate` validates the integrand first, and
-    the walk refuses an atom with no lift, so both happen before any fixed
-    point is built.  On a projective bundle a node that reads nothing of the
-    fibre is pulled back from the base: its value is kept in `memo`, keyed
-    by its own evaluator, and computed once per subset.
+    `bundle_weights`.  `bott_integrate` runs `_check` first, and the walk
+    refuses an atom with no lift, so both happen before any fixed point is
+    built.  On a projective bundle a node that `_check` finds reads nothing
+    of the fibre is pulled back from the base: its value is kept in `memo`,
+    keyed by its own evaluator, and computed once per subset.
     """
     value = _lift(node, space)
-    if not isinstance(space, ProjBundle) or _reads_fibre(node):
+    if not isinstance(space, ProjBundle) or _check(node, space):
         return value
 
     def pulled_back(pt, weights, memo):
@@ -327,35 +319,25 @@ def evaluate_at(node: ex.ExprAst, space: Space):
     return pulled_back
 
 
-def _reads_fibre(node: ex.ExprAst) -> bool:
-    """Whether an integrand node reads the top level's eigenline: zeta, or a
+def _check(node: ex.ExprAst, space: Space) -> bool:
+    """Refuse, in walk order as the symbolic engine does, zeta off a
+    projective bundle and every bundle `rank` rejects; quotients come later.
+    Return whether the node reads the top level's eigenline: zeta, or a
     bundle that mentions the relative O(k)."""
     if isinstance(node, ex.Zeta):
+        if not isinstance(space, ProjBundle):
+            raise UnsupportedExpressionError("zeta only lives on a projective bundle")
         return True
     if isinstance(node, (ex.ChernClass, ex.EulerClass)):
+        rank(node.bundle, space)
         return mentions_rel(node.bundle)
     if isinstance(node, ex.Power):
-        return _reads_fibre(node.base)
-    if isinstance(node, ex.Product):
-        return any(map(_reads_fibre, node.factors))
-    if isinstance(node, ex.Sum):
-        return any(map(_reads_fibre, node.terms))
+        return _check(node.base, space)
+    if isinstance(node, (ex.Product, ex.Sum)):
+        children = node.factors if isinstance(node, ex.Product) else node.terms
+        # a list, not a generator: every child is checked
+        return any([_check(child, space) for child in children])
     return False
-
-
-def _validate(node: ex.ExprAst, space: Space) -> None:
-    """Refuse, in walk order as the symbolic engine does, zeta off a
-    projective bundle and every bundle `rank` rejects; quotients come later."""
-    if isinstance(node, ex.Zeta) and not isinstance(space, ProjBundle):
-        raise UnsupportedExpressionError("zeta only lives on a projective bundle")
-    if isinstance(node, (ex.ChernClass, ex.EulerClass)):
-        rank(node.bundle, space)
-    if isinstance(node, ex.Power):
-        _validate(node.base, space)
-    for child in node.factors if isinstance(node, ex.Product) else ():
-        _validate(child, space)
-    for child in node.terms if isinstance(node, ex.Sum) else ():
-        _validate(child, space)
 
 
 def _lift(node: ex.ExprAst, space: Space):
@@ -479,7 +461,7 @@ def bott_integrate(
     disagreement means the integrand has no well-defined ordinary integral
     and is reported as unsupported.
     """
-    _validate(integrand, space)
+    _check(integrand, space)
     numerator = evaluate_at(integrand, space)
     if weights is not None:
         return _integrate_once(space, numerator, tuple(weights))

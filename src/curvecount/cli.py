@@ -26,6 +26,7 @@ from .counts import Check, HypersurfaceProblem
 from .expr import ExprSyntaxError
 
 
+# wrappers over `expr.parse`, read by bench/child.py, tracing.py and test_bench.py
 def parse_expression(text: str) -> ex.ExprAst:
     return ex.parse(text)
 
@@ -90,8 +91,8 @@ def _emit(rep: dict, as_json: bool, show_value: bool = True) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    space = parse_space(args.space)
-    node = parse_expression(args.expr)
+    space = ex.parse(args.space, "space")
+    node = ex.parse(args.expr)
     backends = counts.BACKENDS if args.backend == "both" else (args.backend,)
     values = [counts.integral(space, node, b) for b in backends]
     return _emit(_integral_report("integrate", space, node, args.backend, values),

@@ -1,10 +1,11 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from curvecount import bott, expr as ex
 from curvecount.bott import (
@@ -198,6 +199,24 @@ def test_quotient_outside_its_ambient_is_rejected():
     ))
     with pytest.raises(UnsupportedExpressionError, match="not contained"):
         bott_integrate(Grassmannian(2, 5), integrand)
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+)))
+# a zero column at the first pivot, and one left by the first elimination
+@example([[0, 1], [0, 2]])
+@example([[1, 2, 3], [2, 4, 5], [3, 6, 7]])
+@settings(max_examples=200, deadline=None)
+def test_det_is_the_cofactor_expansion(rows):
+    assert bott._det(rows) == _cofactor_det(rows)
 
 
 def test_below_top_degree_localizes_to_zero():
@@ -422,3 +441,38 @@ def test_numeric_weights_are_the_character_dotted_with_the_local_weights(data):
             assert lifted(pt, weights, {}) == [
                 sum(map(mul, v, local)) for v in bott._character(node, space, chain)
             ], (node, pt)
+
+
+# the towers whose bundle B mentions no O(k), so that B reads the same on
+# the tower as on its base; NESTED's S(1) would read the upper O(1)
+TOWERS = [ProjBundle(GR24, Dual(TautSub())), ProjBundle(Grassmannian(1, 3), Sym(2, TautQuot())),
+          CONICS]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_quotient_weights_are_the_top_less_the_sub(data):
+    # read off the numeric weights alone, so the positions `_kept` picks are
+    # held to the multiset difference whatever `_character` returns: the
+    # quotients contained by construction, Sym^d B (-1) in Sym^(d+1) B, and
+    # the conic obstructions on P^4..P^6
+    space, bundle = data.draw(st.one_of(
+        st.builds(lambda space, d: (space, WhitneyQuotient(
+            Sym(d + 1, space.bundle), TensorLine(Sym(d, space.bundle), RelO(-1))
+        )), st.sampled_from(TOWERS), st.integers(0, 2)),
+        st.builds(HypersurfaceProblem, st.integers(4, 6), st.integers(2, 6), st.just(2))
+        .map(lambda problem: (problem.space, problem.obstruction)),
+    ))
+    n = bottom_grassmannian(space).n
+    weights = tuple(data.draw(st.lists(
+        st.integers(-10**4, 10**4), min_size=n, max_size=n, unique=True
+    )))
+    try:
+        pts = fixed_points(space, weights)
+    except WeightCollisionError:
+        assume(False)
+    quot, top, sub = (bundle_weights(b, space) for b in (bundle, bundle.top, bundle.sub))
+    for pt in pts:
+        assert Counter(quot(pt, weights, {})) + Counter(sub(pt, weights, {})) == Counter(
+            top(pt, weights, {})
+        ), (bundle, pt)

@@ -133,6 +133,13 @@ def test_ring_axioms_on_random_elements():
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+            # graded: the degree parts sum back to `a`, and a class of
+            # degree one moves each part up by one
+            parts = [a.degree_part(d) for d in range(space.dim + 1)]
+            assert sum(parts[1:], parts[0]) == a
+            h = zeta(space) if isinstance(space, ProjBundle) else sigma(space, (1,))
+            for d, part in enumerate(parts):
+                assert h * part == (h * a).degree_part(d + 1), (space, d)
 
 
 def _repeated_power(x, n):

@@ -191,6 +191,11 @@ def test_schubert_product_expands_in_box():
 
 def test_schubert_product_truncates_outside_box():
     assert dict(schubert_product((2, 2), (1,), 2, 2)) == {}
+    # a factor outside the box, a row too long or one row too many, in
+    # either order
+    for lam in ((3,), (1, 1, 1)):
+        assert dict(schubert_product(lam, (1,), 2, 2)) == {}
+        assert dict(schubert_product((1,), lam, 2, 2)) == {}
 
 
 def test_sym_power_roots():
