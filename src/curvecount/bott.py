@@ -36,9 +36,10 @@ j < k is the j-th element of I and slot k + j the j-th of the complement,
 both increasing; a weight is its vector dotted with these local weights.
 Each rule of `bundle_weights`, the one rule set, is linear in the weights,
 so `_character` reads the vectors off it at the unit weight vectors, once
-per (node, space, chain of eigenline indices, one per level).  A quotient's
-weights at a point are the top's at the positions `_kept` leaves for the
-chain; a sub not contained in the top is refused at lift time.
+per (node, space) for all chains of eigenline indices (one per level), the
+chains sharing one memo per unit vector.  A quotient's weights at a point
+are the top's at the positions `_kept` leaves for the chain; a sub not
+contained in the top is refused at lift time.
 
 Sym powers are the largest bundles of the integrand (Sym^20 S* has 231
 weights at each conic point of P^14), and their weights depend only on the
@@ -223,25 +224,38 @@ def _chains(space: Space) -> list:
     return [c + (i,) for c in _chains(space.base) for i in range(space.rank)]
 
 
-@lru_cache(maxsize=None)
 def _character(expr: BundleExpr, space: Space, chain: tuple) -> tuple:
     """The weights of `expr` at the local point `chain` as integer vectors
     over the local slots, in the order `bundle_weights` lists them: slot j
     is the weight at the j-th unit weight vector over the subset range(k)."""
     if isinstance(space, ProjBundle) and not mentions_rel(expr):
         return _character(expr, space.base, chain[:-1])
-    lifted, n = bundle_weights(expr, space), bottom_grassmannian(space).n
-    units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
-    return tuple(zip(*(lifted(_local_point(space, chain, e), e, {}) for e in units)))
+    return _characters(expr, space)[chain]
 
 
-def _local_point(space: Space, chain: tuple, weights: tuple[int, ...]) -> tuple:
+@lru_cache(maxsize=None)
+def _characters(expr: BundleExpr, space: Space) -> dict:
+    """`_character` at every chain of `space`.  The chains share one memo
+    per unit weight vector, which is exact because the memo keys hold the
+    weights, so each Sym node is built once per unit vector."""
+    lifted, n, out = bundle_weights(expr, space), bottom_grassmannian(space).n, {}
+    for j in range(n):
+        e, memo = (0,) * j + (1,) + (0,) * (n - 1 - j), {}
+        for chain in _chains(space):
+            out.setdefault(chain, []).append(lifted(_local_point(space, chain, e, memo), e, memo))
+    for chain, columns in out.items():
+        out[chain] = tuple(zip(*columns))
+    return out
+
+
+def _local_point(space: Space, chain: tuple, weights: tuple[int, ...], memo: dict) -> tuple:
     """The record over the subset range(k) with the eigenlines `chain`,
-    built level by level as `fixed_points` does."""
+    built level by level as `fixed_points` does; `memo` as in
+    `bundle_weights`."""
     if isinstance(space, Grassmannian):
         return tuple(range(space.k)), ()
-    subset, levels = _local_point(space.base, chain[:-1], weights)
-    fiber = tuple(bundle_weights(space.bundle, space.base)((subset, levels), weights, {}))
+    subset, levels = _local_point(space.base, chain[:-1], weights, memo)
+    fiber = tuple(bundle_weights(space.bundle, space.base)((subset, levels), weights, memo))
     return subset, levels + ((fiber, chain[-1]),)
 
 

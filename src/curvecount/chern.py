@@ -35,15 +35,17 @@ Segre classes, s = 1 / c, follow three rules:
 
 On a tower the twist's s_j(E) and the quotient's c(top) are then mostly
 pulled-back classes, and a pulled-back class times a tower element costs one
-base product per slot instead of one per pair of slots.
+base product per slot.  Tower slots stay unreduced, so a power of
+l = c1(O(k)) = k * zeta is one slot shifted, and the twist's series takes no
+Schubert product.
 
 Everything on a projective bundle that does not mention the relative O(k) is
 evaluated on the base and pulled back, so the root expansion always runs at
 the smallest possible truncation.  Classes above the dimension of the space
 are zero: they are not computed, and the tuple is padded with zero classes
-up to the rank.  Each class is built as one `chow.sum_of_products`, so the
-tower relation is applied once per class.  Chern classes and Segre series
-are cached per (expression, space).
+up to the rank.  Each class is built as one `chow.sum_of_products`, and the
+tower relation is never applied.  Chern classes and Segre series are cached
+per (expression, space).
 """
 
 from __future__ import annotations

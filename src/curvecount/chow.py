@@ -3,16 +3,16 @@
 This module holds the ring only; the spaces it is taken on are described in
 `bundles`.  The ring of a Grassmannian Gr(k, n) is written in the Schubert
 basis indexed by partitions in the k x (n-k) box.  The ring of a projective
-bundle P(E) over a space holds towers (a_0, ..., a_{r-1}) standing for
-sum_i zeta^i * pullback(a_i) with r = rank E.
+bundle P(E) over a space holds towers (a_0, a_1, ...) standing for
+sum_m zeta^m * pullback(a_m).
 
 Conventions, pinned by the self-checks in the test suite:
 
 - P(E) parametrizes rank-one subspaces of E; O(-1) is the tautological
   sub-line bundle and zeta = c1(O(1)).
-- The defining relation is sum_{i=0}^{r} c_i(E) * zeta^(r-i) = 0.
-- pushforward along P(E) -> base reads off the zeta^(r-1) slot, matching the
-  Segre normalization s(E) = 1/c(E).
+- The defining relation is sum_{i=0}^{r} c_i(E) * zeta^(r-i) = 0, r = rank E.
+- pushforward along P(E) -> base takes zeta^m to the Segre class
+  s_(m-r+1)(E), with s(E) = 1/c(E) (Fulton, Intersection Theory, 3.1).
 - On Gr(k, n): c_i(S) = (-1)^i sigma_{(1^i)} and c_i(Q) = sigma_{(i)}, so
   c(S)c(Q) = 1.
 
@@ -21,11 +21,19 @@ leaving the box are dropped, which truncates every element at the dimension
 of the space.  Elements are immutable once built and all operations are pure,
 so values can be shared freely across threads.
 
-Products and sums of products (`sum_of_products`) share one private
-multiply-accumulate: each product c * x * y is added, unreduced, into
-mutable per-slot coefficient dicts, at any tower depth, and the tower
-relation is applied once, to the finished sum.  A product is the sum of one
-term, and `reduce_tower` is the sum of its slots.
+A tower element keeps its zeta-power slots unreduced: a slot list of any
+length, with trailing empty slots dropped.  A product drops each term whose
+zeta powers, over all tower levels, add up to more than the dimension of
+the tower, as such a term is zero; the box bounds the rest.  Products and
+sums of products (`sum_of_products`) share one private multiply-accumulate:
+each product c * x * y is the slot convolution of x and y, added into
+mutable per-slot coefficient dicts at any tower depth, and no relation is
+applied.  `integrate` and `pushforward` read sum_m s_(m-r+1)(E) * a_m, so
+integration never needs the relation; over a Grassmannian the last step is
+the pairing int sigma_lam * sigma_mu = [mu = lam^vee], with no product.  The
+relation runs only where a normal form is read: `==`, `is_zero` and `repr`
+go through `reduce_tower`, which folds zeta^m, m >= r, away from the top
+down and leaves at most r slots.
 
 Coefficients are plain Python numbers: the ring arithmetic never divides, so
 they stay `int` unless a caller scales by a `Fraction`, which the numeric
@@ -36,7 +44,8 @@ return a `Fraction` either way.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
+from itertools import repeat
 from math import comb
 
 from . import symfunc
@@ -48,12 +57,18 @@ class SpaceMismatchError(ValueError):
     """Operands live on different spaces."""
 
 
-@lru_cache(maxsize=None)
+# local imports: chern builds on this module, so the dependency is deferred;
+# chern caches the classes
 def _relation_classes(space: ProjBundle):
-    # local import: chern builds on this module, so the dependency is deferred
     from .chern import chern_classes
 
     return chern_classes(space.bundle, space.base)
+
+
+def _segre_classes(space: ProjBundle):
+    from .chern import segre_classes
+
+    return segre_classes(space.bundle, space.base, space.base.dim)
 
 
 class ChowElement:
@@ -61,8 +76,10 @@ class ChowElement:
 
     On a Grassmannian, `data` is a dict mapping partitions to nonzero
     coefficients (`int`, or `Fraction` once a rational scalar enters).  On
-    a projective bundle of rank r, `data` is a tuple of exactly r base
-    elements, the zeta-power coefficients.  Treat instances as immutable.
+    a projective bundle, `data` is a tuple of base elements, the unreduced
+    zeta-power coefficients, with no trailing empty slot, so an element
+    that stores no term has empty `data`; `reduce_tower` gives the normal
+    form, at most rank E slots.  Treat instances as immutable.
     """
 
     __slots__ = ("space", "data")
@@ -74,22 +91,20 @@ class ChowElement:
                 lam: c for lam, c in dict(data).items() if c != 0
             }
         else:
-            slots = tuple(data)
-            if len(slots) != space.rank:
-                raise ValueError(
-                    f"tower needs exactly {space.rank} slots, got {len(slots)}"
-                )
+            slots = list(data)
             for s in slots:
                 if s.space != space.base:
                     raise SpaceMismatchError("tower slot lives on the wrong base")
-            self.data = slots
+            while slots and not slots[-1].data:
+                slots.pop()
+            self.data = tuple(slots)
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         if isinstance(self.space, Grassmannian):
             return not self.data
-        return all(s.is_zero() for s in self.data)
+        return not reduce_tower(self.space, self.data).data
 
     def coefficient(self, lam) -> Fraction:
         """Schubert coefficient (Grassmannian elements only)."""
@@ -137,8 +152,10 @@ class ChowElement:
     def __pow__(self, n: int) -> "ChowElement":
         """self^n by the binomial theorem.  self = a + y, with a its degree-0
         coefficient and y of positive degree, hence nilpotent, so self^n is
-        sum_j C(n, j) a^(n-j) y^j over the powers of y before the first zero
-        one; with a = 0 only y^n is left."""
+        sum_j C(n, j) a^(n-j) y^j over the powers of y before the first empty
+        one: y^j has degree at least j, and a product keeps at most the
+        tower's dimension in zeta powers and the box's in Schubert degree.
+        With a = 0 only y^n is left."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         one, a = unit(self.space), self._constant()
@@ -148,7 +165,7 @@ class ChowElement:
         powers = [one]
         while len(powers) <= n:
             power = powers[-1] * y
-            if power.is_zero():  # so is every higher power
+            if not power.data:  # so is every higher power
                 break
             powers.append(power)
         if not a:
@@ -159,11 +176,11 @@ class ChowElement:
         )
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChowElement)
-            and self.space == other.space
-            and self.data == other.data
-        )
+        if not isinstance(other, ChowElement) or self.space != other.space:
+            return False
+        if isinstance(self.space, Grassmannian):
+            return self.data == other.data
+        return (self - other).is_zero()
 
     def __repr__(self) -> str:
         if isinstance(self.space, Grassmannian):
@@ -175,7 +192,9 @@ class ChowElement:
                 name = "s" + str(list(lam)) if lam else "1"
                 bits.append(f"{c}*{name}")
             return " + ".join(bits)
-        return "(" + ", ".join(repr(s) for s in self.data) + ")"
+        slots = reduce_tower(self.space, self.data).data
+        slots += (zero(self.space.base),) * (self.space.rank - len(slots))
+        return "(" + ", ".join(repr(s) for s in slots) + ")"
 
     # -- helpers ---------------------------------------------------------
 
@@ -183,6 +202,8 @@ class ChowElement:
         """The degree-0 coefficient: on a tower, that of the zeta^0 slot."""
         x = self
         while not isinstance(x.space, Grassmannian):
+            if not x.data:
+                return 0
             x = x.data[0]
         return x.data.get((), 0)
 
@@ -201,16 +222,16 @@ def sum_of_products(space: Space, terms) -> ChowElement:
     """The sum of c * x * y over the triples (c, x, y) of `terms`.
 
     `y` may be None, which stands for the unit.  Every product accumulates
-    unreduced into one set of per-slot coefficient dicts, and the tower
-    relation is applied once, to the finished sum.
+    into one set of per-slot coefficient dicts, and tower slots stay
+    unreduced.
     """
     acc = _empty(space)
     for c, x, y in terms:
         if x.space != space or (y is not None and y.space != space):
             raise SpaceMismatchError("summand lives on a different space")
-        if c and not x.is_zero() and (y is None or not y.is_zero()):
-            _accumulate(acc, c, x, y)
-    return _normalize(space, acc)
+        if c and x.data and (y is None or y.data):
+            _accumulate(acc, c, x, y, space.dim)
+    return _element(space, acc)
 
 
 def _empty(space: Space):
@@ -219,10 +240,15 @@ def _empty(space: Space):
     return {} if isinstance(space, Grassmannian) else []
 
 
-def _accumulate(acc, c, x: ChowElement, y: ChowElement | None) -> None:
-    """Add c * x * y (c * x when y is None) into the accumulator `acc`."""
+def _accumulate(acc, c, x: ChowElement, y: ChowElement | None, top: int) -> None:
+    """Add c * x * y (c * x when y is None) into the accumulator `acc`,
+    keeping only the terms whose zeta powers, over all tower levels, add up
+    to at most `top`."""
     space = x.space
     if isinstance(space, Grassmannian):
+        if y is not None and len(y.data) == 1 and () in y.data:
+            # a multiple of the unit: a zeta power's coefficient, or s_0
+            c, y = c * y.data[()], None
         if y is None:
             for lam, a in x.data.items():
                 acc[lam] = acc.get(lam, 0) + c * a
@@ -237,40 +263,25 @@ def _accumulate(acc, c, x: ChowElement, y: ChowElement | None) -> None:
                     acc[nu] = get(nu, 0) + ab * k
         return
     base = space.base
-    ys = [(0, None)] if y is None else [
-        (j, b) for j, b in enumerate(y.data) if not b.is_zero()
-    ]
+    ys = [(0, None)] if y is None else [(j, b) for j, b in enumerate(y.data) if b.data]
     for i, a in enumerate(x.data):
-        if a.is_zero():
+        if i > top:
+            break
+        if not a.data:
             continue
         for j, b in ys:
+            if i + j > top:
+                break
             while len(acc) <= i + j:
                 acc.append(_empty(base))
-            _accumulate(acc[i + j], c, a, b)
+            _accumulate(acc[i + j], c, a, b, top - i - j)
 
 
-def _normalize(space: Space, acc) -> ChowElement:
-    """The element an accumulator stands for, in normal form.
-
-    On a tower, zeta^m with m >= r = rank E is eliminated from the top down
-    with the defining relation zeta^r = -sum_{i=1}^{r} c_i(E) zeta^(r-i),
-    each top slot normalized once before it is folded into the slots below.
-    """
+def _element(space: Space, acc) -> ChowElement:
+    """The element an accumulator stands for, slots unreduced."""
     if isinstance(space, Grassmannian):
         return ChowElement(space, acc)
-    base, r = space.base, space.rank
-    if len(acc) > r:
-        cs = _relation_classes(space)
-        for m in range(len(acc) - 1, r - 1, -1):
-            top = _normalize(base, acc[m])
-            if top.is_zero():
-                continue
-            for i in range(1, r + 1):
-                if not cs[i].is_zero():
-                    _accumulate(acc[m - i], -1, cs[i], top)
-    slots = [_normalize(base, a) for a in acc[:r]]
-    slots.extend(zero(base) for _ in range(r - len(slots)))
-    return ChowElement(space, slots)
+    return ChowElement(space, map(partial(_element, space.base), acc))
 
 
 # two names for one body, so that a profile tells the Grassmannian and the
@@ -284,19 +295,25 @@ def _tower_multiply(x: ChowElement, y: ChowElement) -> ChowElement:
 
 
 def reduce_tower(space: ProjBundle, slots) -> ChowElement:
-    """Normalize a list of zeta-power coefficients of any length.
+    """The normal form of a list of zeta-power coefficients of any length.
 
-    Powers zeta^m with m >= r are eliminated with the defining relation
-    zeta^r = -sum_{i=1}^{r} c_i(E) zeta^(r-i).  Normal-form input comes back
-    unchanged, so the operation is idempotent.
+    Powers zeta^m with m >= r are eliminated from the top down with the
+    defining relation zeta^r = -sum_{i=1}^{r} c_i(E) zeta^(r-i), and the r
+    slots left are normalized on the base, so every tower level keeps at
+    most its rank of slots.  Normal-form input comes back unchanged, so the
+    operation is idempotent.
     """
-    acc = []
-    for s in slots:
-        if s.space != space.base:
-            raise SpaceMismatchError("tower slot lives on the wrong base")
-        acc.append(_empty(space.base))
-        _accumulate(acc[-1], 1, s, None)
-    return _normalize(space, acc)
+    base, r = space.base, space.rank
+    slots = list(ChowElement(space, slots).data[: space.dim + 1])
+    cs = _relation_classes(space) if len(slots) > r else None
+    while len(slots) > r:
+        top, m = slots.pop(), len(slots)
+        for i in range(1, r + 1):
+            slots[m - i] = sum_of_products(base, ((1, slots[m - i], None), (-1, cs[i], top)))
+    if isinstance(base, ProjBundle):
+        for m, s in enumerate(slots):
+            slots[m] = reduce_tower(base, s.data)
+    return ChowElement(space, slots)
 
 
 def unit(space: Space) -> ChowElement:
@@ -306,9 +323,7 @@ def unit(space: Space) -> ChowElement:
 
 
 def zero(space: Space) -> ChowElement:
-    if isinstance(space, Grassmannian):
-        return ChowElement(space, {})
-    return ChowElement(space, tuple(zero(space.base) for _ in range(space.rank)))
+    return ChowElement(space, {} if isinstance(space, Grassmannian) else ())
 
 
 def sigma(space: Space, lam) -> ChowElement:
@@ -328,7 +343,7 @@ def zeta(space: ProjBundle) -> ChowElement:
     """c1(O(1)) of the top projective bundle."""
     if not isinstance(space, ProjBundle):
         raise SpaceMismatchError("zeta needs a projective bundle")
-    return reduce_tower(space, [zero(space.base), unit(space.base)])
+    return ChowElement(space, (zero(space.base), unit(space.base)))
 
 
 def pullback(space: ProjBundle, elt: ChowElement) -> ChowElement:
@@ -337,23 +352,35 @@ def pullback(space: ProjBundle, elt: ChowElement) -> ChowElement:
         raise SpaceMismatchError("pullback target must be a projective bundle")
     if elt.space != space.base:
         raise SpaceMismatchError("element does not live on the base")
-    rest = (zero(space.base) for _ in range(space.rank - 1))
-    return ChowElement(space, (elt, *rest))
+    return ChowElement(space, (elt,))
 
 
 def pushforward(x: ChowElement) -> ChowElement:
-    """Pushforward along P(E) -> base; drops degree by rank(E) - 1."""
+    """Pushforward along P(E) -> base, sum_m s_(m-r+1)(E) * a_m; drops degree
+    by rank(E) - 1."""
     if not isinstance(x.space, ProjBundle):
         raise SpaceMismatchError("pushforward needs a projective-bundle element")
-    return x.data[x.space.rank - 1]
+    # the triples (1, s_k(E), a_(k+r-1))
+    terms = zip(repeat(1), _segre_classes(x.space), x.data[x.space.rank - 1:])
+    return sum_of_products(x.space.base, terms)
 
 
 def integrate(x: ChowElement) -> Fraction:
-    """Degree of the top-dimensional part of x; lower terms contribute zero."""
-    if isinstance(x.space, Grassmannian):
-        top = (x.space.cols,) * x.space.rows
-        return Fraction(x.data.get(top, 0))
-    return integrate(pushforward(x))
+    """Degree of the top-dimensional part of x; lower terms contribute zero.
+
+    Over a Grassmannian base, the pushforward's products are only read at
+    the top class, so each s_k(E) * a_m is the Poincare pairing of the two.
+    """
+    space = x.space
+    if isinstance(space, Grassmannian):
+        return Fraction(x.data.get((space.cols,) * space.rows, 0))
+    if isinstance(space.base, ProjBundle):
+        return integrate(pushforward(x))
+    rows, cols, total = space.base.rows, space.base.cols, 0
+    for s, a in zip(_segre_classes(space), x.data[space.rank - 1:]):
+        for lam, c in s.data.items():
+            total += c * a.data.get(symfunc.box_complement(lam, rows, cols), 0)
+    return Fraction(total)
 
 
 def basis(space: Grassmannian) -> tuple[Partition, ...]:

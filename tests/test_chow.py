@@ -300,3 +300,37 @@ def test_reduction_is_idempotent(k):
     elt = z ** k
     assert elt * unit(PS) == elt
     assert chow.reduce_tower(PS, list(elt.data)) == elt
+
+
+def _gr_elements(gr):
+    return st.dictionaries(st.sampled_from(basis(gr)), st.integers(-3, 3), max_size=6).map(
+        lambda coeffs: ChowElement(gr, coeffs)
+    )
+
+
+def _slot_lists(space, max_size):
+    base = space.base
+    slots = _gr_elements(base) if isinstance(base, Grassmannian) else _slot_lists(base, 4).map(
+        lambda data: ChowElement(base, data)
+    )
+    return st.lists(slots, max_size=max_size)
+
+
+def _top_slot_by_hand(x):
+    # the zeta^(r-1) slot of the normal form, read down to the Grassmannian
+    while isinstance(x.space, ProjBundle):
+        r = x.space.rank
+        normal = _reduce_by_hand(x.space, list(x.data)).data
+        x = normal[r - 1] if len(normal) >= r else zero(x.space.base)
+    return x.coefficient((x.space.cols,) * x.space.rows)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_integrate_is_the_top_slot_of_the_normal_form(data):
+    # slot lists of any length, past the relation and past the dimension:
+    # the Segre pushforward reads what the relation would fold down
+    space = data.draw(st.sampled_from([PS, CONICS_35, PS_S]))
+    slots = data.draw(_slot_lists(space, 2 * space.dim + 2))
+    x = ChowElement(space, slots)
+    assert integrate(x) == _top_slot_by_hand(x)
