@@ -3,8 +3,8 @@
 Two independent integration backends over the same intersection rings:
 
 * a symbolic one, multiplying Schubert classes through Littlewood-Richardson
-  coefficients and reducing projective-bundle towers against the tautological
-  relation, and
+  coefficients and integrating projective-bundle towers by Segre
+  pushforward, and
 * a fixed-point one, summing torus weights over the finitely many fixed
   points (Bott's residue formula).
 

@@ -1,10 +1,21 @@
 """Chern, Segre, and Euler classes of bundle expressions.
 
-Evaluation rules:
+Chern and Segre classes are one walk over the expression tree: it builds
+c(E)^sign, the Chern classes c(E) for sign = 1 and the Segre classes
+s(E) = 1 / c(E) for sign = -1, with one rule per constructor:
 
-- tautological classes on Gr(k, n): c_i(S) = (-1)^i sigma_{(1^i)},
-  c_i(Q) = sigma_{(i)};
-- duals flip the sign of odd classes;
+- a bundle that does not mention the relative O(k) of a projective bundle
+  is evaluated on the base and pulled back, for either sign, so the root
+  expansion always runs at the smallest possible truncation;
+- tautological classes on Gr(k, n): c_i(S) = (-1)^i sigma_{(1^i)} and
+  c_i(Q) = sigma_{(i)}; since c(S) c(Q) = 1, s(S) = c(Q) and s(Q) = c(S);
+- a dual flips the sign of the odd classes, and a trivial bundle has 1;
+- a twist by a line bundle L, with e = rank E and l = c1(L), is the
+  degree-k part of sum_i x_i (1 + l)^(sign * e - i), with x = c(E)^sign; for
+  Segre classes the binomial has a negative top, so the twisted bundle's
+  own Chern classes are never built;
+- the relative O(k) has c = 1 + l and s = sum_j (-l)^j, with l = k * zeta;
+- a quotient has c(top / sub) = c(top) s(sub), read up to its rank;
 - symmetric powers go through Chern roots: given the degree d and the
   rank of the argument, `symfunc.expand_linear_product` expands the
   product of the Sym^d root forms in the Schur basis as one packed integer,
@@ -16,36 +27,22 @@ Evaluation rules:
   the box of the bottom Grassmannian, lam_1 <= n - k for S and S* and
   lam_1 <= k for Q and Q*, outside which the Schubert class is zero.  Any
   other argument builds s_lam by the Pieri rule from the complete classes
-  h_j = (-1)^j s_j, s_j its Segre classes, with no box;
-- twists by a line bundle use c_k(E ox L) =
-  sum_i binom(rank E - i, k - i) c_i(E) c1(L)^(k-i);
-- quotients multiply by the Segre series of the sub:
-  c_k(top / sub) = sum_i c_(k-i)(top) s_i(sub), for k up to the rank;
-- the relative O(k) of a projective bundle has c1 = k * zeta.
+  h_j = (-1)^j s_j, s_j its Segre classes, with no box.
 
-Segre classes, s = 1 / c, follow three rules:
+Only symmetric powers and quotients take the inverse series for their
+Segre classes, s_k = -sum_{i>=1} c_i s_(k-i).  A quotient must: when the
+sub is not contained in the top, the quotient is virtual, its Chern classes
+stop at its rank, and s(top) c(sub) is not their inverse.
 
-- a bundle that does not mention the relative O(k) takes the series of the
-  base, pulled back;
-- a twist uses s_k(E ox L) = sum_j (-1)^(k-j) binom(e+k-1, k-j) s_j(E) l^(k-j),
-  with e = rank E and l = c1(L), the degree-k part of
-  sum_j s_j(E) (1 + l)^(-e-j), so the twisted bundle's own Chern classes are
-  never built;
-- any other bundle takes the inverse series, s_k = -sum_{i>=1} c_i s_(k-i).
-
-On a tower the twist's s_j(E) and the quotient's c(top) are then mostly
-pulled-back classes, and a pulled-back class times a tower element costs one
-base product per slot.  Tower slots stay unreduced, so a power of
+On a tower the twist's x_i and the quotient's c(top) are mostly pulled-back
+classes, and a pulled-back class times a tower element costs one base
+product per slot.  Tower slots stay unreduced, so a power of
 l = c1(O(k)) = k * zeta is one slot shifted, and the twist's series takes no
-Schubert product.
-
-Everything on a projective bundle that does not mention the relative O(k) is
-evaluated on the base and pulled back, so the root expansion always runs at
-the smallest possible truncation.  Classes above the dimension of the space
-are zero: they are not computed, and the tuple is padded with zero classes
-up to the rank.  Each class is built as one `chow.sum_of_products`, and the
-tower relation is never applied.  Chern classes and Segre series are cached
-per (expression, space).
+Schubert product.  Classes above the dimension of the space are zero: they
+are not computed, and the Chern tuple is padded with zero classes up to the
+rank.  Each class is built as one `chow.sum_of_products`, and the tower
+relation is never applied.  The walk is cached per (expression, space,
+sign).
 """
 
 from __future__ import annotations
@@ -57,8 +54,6 @@ from . import bundles, chow, symfunc
 from .bundles import (
     BundleExpr,
     Dual,
-    Grassmannian,
-    InvalidBundleError,
     ProjBundle,
     RelO,
     Space,
@@ -72,38 +67,20 @@ from .bundles import (
 from .chow import ChowElement
 
 
+# cached apart from the walk, so that its cache counts only the calls from
+# outside; bench/tracing.py reads them
 @lru_cache(maxsize=None)
 def chern_classes(expr: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
     """The tuple (c_0, ..., c_rank) of `expr` on `space`."""
-    r = bundles.rank(expr, space)
+    return _classes(expr, space, 1)
 
-    if isinstance(space, ProjBundle) and not bundles.mentions_rel(expr):
-        return tuple(
-            chow.pullback(space, c) for c in chern_classes(expr, space.base)
-        )
 
-    if isinstance(expr, TautSub):
-        assert isinstance(space, Grassmannian)
-        return tuple(
-            (-1) ** i * chow.sigma(space, (1,) * i) for i in range(r + 1)
-        )
-    if isinstance(expr, TautQuot):
-        assert isinstance(space, Grassmannian)
-        return tuple(chow.sigma(space, (i,)) for i in range(r + 1))
-    if isinstance(expr, Trivial):
-        return (chow.unit(space),) + (chow.zero(space),) * r
-    if isinstance(expr, Dual):
-        inner = chern_classes(expr.arg, space)
-        return tuple((-1) ** i * c for i, c in enumerate(inner))
-    if isinstance(expr, Sym):
-        return _sym_classes(expr, space)
-    if isinstance(expr, TensorLine):
-        return _twist_classes(expr.arg, expr.line, space)
-    if isinstance(expr, WhitneyQuotient):
-        return _quotient_classes(expr.top, expr.sub, space)
-    if isinstance(expr, RelO):
-        return (chow.unit(space), expr.twist * chow.zeta(space))
-    raise InvalidBundleError(f"not a bundle expression: {expr!r}")
+def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowElement, ...]:
+    """(s_0, ..., s_up_to), the inverse power series of the total Chern class."""
+    if up_to < 0:
+        raise ValueError("up_to must be nonnegative")
+    ss = _classes(expr, space, -1)
+    return ss[: up_to + 1] + (chow.zero(space),) * (up_to + 1 - len(ss))
 
 
 def euler_class(expr: BundleExpr, space: Space) -> ChowElement:
@@ -113,7 +90,7 @@ def euler_class(expr: BundleExpr, space: Space) -> ChowElement:
     rq = bundles.rank(expr, space)
     if rq > space.dim:
         return chow.zero(space)
-    return _quotient_class(expr.top, expr.sub, space, rq)
+    return _product_part(_classes(expr.top, space, 1), _classes(expr.sub, space, -1), rq, space)
 
 
 def total_chern(expr: BundleExpr, space: Space) -> ChowElement:
@@ -122,54 +99,45 @@ def total_chern(expr: BundleExpr, space: Space) -> ChowElement:
     )
 
 
-def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowElement, ...]:
-    """(s_0, ..., s_up_to), the inverse power series of the total Chern class."""
-    if up_to < 0:
-        raise ValueError("up_to must be nonnegative")
-    ss = _segre_series(expr, space)
-    return ss[: up_to + 1] + (chow.zero(space),) * (up_to + 1 - len(ss))
-
-
 @lru_cache(maxsize=None)
-def _segre_series(expr: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
-    """(s_0, ..., s_dim) of `expr` on `space`; higher classes are zero."""
+def _classes(expr: BundleExpr, space: Space, sign: int) -> tuple[ChowElement, ...]:
+    """c(expr)^sign on `space`: (c_0, ..., c_rank) for sign 1, the Chern
+    classes, and (s_0, ..., s_dim) for sign -1, the Segre classes."""
+    r = bundles.rank(expr, space)
+    n = (r if sign > 0 else space.dim) + 1
     if isinstance(space, ProjBundle) and not bundles.mentions_rel(expr):
-        base = tuple(chow.pullback(space, s) for s in _segre_series(expr, space.base))
-        return base + (chow.zero(space),) * (space.dim + 1 - len(base))
-
-    if isinstance(expr, TensorLine):
-        # s(E ox L) = sum_j s_j(E) (1 + l)^(-e-j); bundles.rank checks that
-        # L is a line, and e = rank E
-        e = bundles.rank(expr, space)
-        arg_ss = _segre_series(expr.arg, space)
-        ell_pows = _line_powers(expr.line, space, space.dim)
-        return (chow.unit(space),) + tuple(
-            chow.sum_of_products(space, (
-                ((-1) ** (k - j) * comb(e + k - 1, k - j), arg_ss[j], ell_pows[k - j])
-                for j in range(k + 1)
+        out = tuple(chow.pullback(space, x) for x in _classes(expr, space.base, sign))
+    elif isinstance(expr, (TautSub, TautQuot)):
+        # c(S) c(Q) = 1: c_i(S) = (-1)^i sigma_(1^i) = s_i(Q) and
+        # c_i(Q) = sigma_(i) = s_i(S), zero outside the box
+        if isinstance(expr, TautQuot) == (sign > 0):
+            out = tuple(chow.sigma(space, (i,)) for i in range(n))
+        else:
+            out = tuple((-1) ** i * chow.sigma(space, (1,) * i) for i in range(n))
+    elif isinstance(expr, Trivial):
+        out = (chow.unit(space),)
+    elif isinstance(expr, Dual):
+        out = tuple((-1) ** i * x for i, x in enumerate(_classes(expr.arg, space, sign)))
+    elif isinstance(expr, TensorLine):
+        out = _twist_classes(expr.arg, expr.line, space, sign)
+    elif isinstance(expr, RelO):
+        # 1 + l and sum_j (-l)^j, with l = twist * zeta
+        ell = sign * expr.twist * chow.zeta(space)
+        out = [chow.unit(space), ell]
+        while len(out) < n:
+            out.append(out[-1] * ell)
+    elif sign < 0:
+        # Sym and quotients take the inverse series, s_k = -sum_{i>=1} c_i s_(k-i)
+        cs, out = _classes(expr, space, 1), [chow.unit(space)]
+        for k in range(1, n):
+            out.append(chow.sum_of_products(
+                space, ((-1, cs[i], out[k - i]) for i in range(1, min(k, r) + 1))
             ))
-            for k in range(1, space.dim + 1)
-        )
-
-    # the inverse series: s_k = -sum_{i=1}^{k} c_i s_(k-i)
-    cs = chern_classes(expr, space)
-    out = [chow.unit(space)]
-    for k in range(1, space.dim + 1):
-        out.append(
-            chow.sum_of_products(
-                space, ((-1, cs[i], out[k - i]) for i in range(1, min(k, len(cs) - 1) + 1))
-            )
-        )
-    return tuple(out)
-
-
-def _line_powers(line: BundleExpr, space: Space, top: int) -> list[ChowElement]:
-    """[1, l, ..., l^top] for l = c1(line)."""
-    ell = chern_classes(line, space)[1]
-    pows = [chow.unit(space)]
-    for _ in range(top):
-        pows.append(pows[-1] * ell)
-    return pows
+    elif isinstance(expr, Sym):
+        out = _sym_classes(expr, space)
+    else:  # bundles.rank rejected anything but a quotient
+        out = _quotient_classes(expr.top, expr.sub, space)
+    return tuple(out) + (chow.zero(space),) * (n - len(out))
 
 
 def _sym_classes(expr: Sym, space: Space) -> tuple[ChowElement, ...]:
@@ -221,32 +189,38 @@ def _schur_classes(arg: BundleExpr, space: Space, top: int):
     return None, lambda lam: (1, s(lam))
 
 
-def _twist_classes(arg: BundleExpr, line: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
-    # chern_classes validated the tree through bundles.rank: `line` has rank 1
-    re = bundles.rank(arg, space)
-    top = min(re, space.dim)
-    arg_cs = chern_classes(arg, space)
-    ell_pows = _line_powers(line, space, top)
-    out = [
+def _twist_classes(
+    arg: BundleExpr, line: BundleExpr, space: Space, sign: int
+) -> tuple[ChowElement, ...]:
+    # c(E ox L)^sign = sum_i x_i (1 + l)^(sign e - i), with x = c(E)^sign,
+    # e = rank E and l = c1(L); bundles.rank checked that L is a line
+    e, xs = bundles.rank(arg, space), _classes(arg, space, sign)
+    top = min(len(xs) - 1, space.dim)
+    ell, pows = _classes(line, space, 1)[1], [chow.unit(space)]
+    for _ in range(top):
+        pows.append(pows[-1] * ell)
+    return tuple(
         chow.sum_of_products(
-            space,
-            ((comb(re - i, k - i), arg_cs[i], ell_pows[k - i]) for i in range(k + 1)),
+            space, ((_binomial(sign * e - i, k - i), xs[i], pows[k - i]) for i in range(k + 1))
         )
         for k in range(top + 1)
-    ]
-    return tuple(out) + (chow.zero(space),) * (re - top)
+    )
+
+
+def _binomial(top: int, j: int) -> int:
+    """binom(top, j) for a top of either sign: (-1)^j binom(j - top - 1, j)
+    when top < 0."""
+    return comb(top, j) if top >= 0 else (-1) ** j * comb(j - top - 1, j)
 
 
 def _quotient_classes(top: BundleExpr, sub: BundleExpr, space: Space) -> tuple[ChowElement, ...]:
     # c(top / sub) = c(top) s(sub), read up to the rank of the quotient,
     # which is at most the rank of top
     rq = bundles.rank(top, space) - bundles.rank(sub, space)
-    last = min(rq, space.dim)
-    out = tuple(_quotient_class(top, sub, space, k) for k in range(last + 1))
-    return out + (chow.zero(space),) * (rq - last)
+    cs, ss = _classes(top, space, 1), _classes(sub, space, -1)
+    return tuple(_product_part(cs, ss, k, space) for k in range(min(rq, space.dim) + 1))
 
 
-def _quotient_class(top: BundleExpr, sub: BundleExpr, space: Space, k: int) -> ChowElement:
-    """c_k(top / sub) = sum_i c_(k-i)(top) s_i(sub), for k <= rank, dim."""
-    top_cs, sub_ss = chern_classes(top, space), _segre_series(sub, space)
-    return chow.sum_of_products(space, ((1, top_cs[k - i], sub_ss[i]) for i in range(k + 1)))
+def _product_part(xs, ys, k: int, space: Space) -> ChowElement:
+    """The degree-k class of the product of two series, sum_i x_(k-i) y_i."""
+    return chow.sum_of_products(space, ((1, xs[k - i], ys[i]) for i in range(k + 1)))

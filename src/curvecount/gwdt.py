@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, prod
+from math import factorial, isqrt, prod
 from typing import Iterator, Mapping, NamedTuple
 
 from .bott import weight_search
@@ -63,8 +63,15 @@ class InvariantTable:
         return Fraction(self.values[degree])
 
 
-def _divisors(m: int) -> list[int]:
-    return [k for k in range(1, m + 1) if m % k == 0]
+def _divisors(m: int) -> Iterator[int]:
+    """The divisors of m in pairs (k, m // k), k <= sqrt(m), each pair
+    yielded as it is found, so a sum that meets a missing degree stops
+    there."""
+    for k in range(1, isqrt(m) + 1):
+        if m % k == 0:
+            yield k
+            if k * k != m:
+                yield m // k
 
 
 def moebius(n: int) -> int:

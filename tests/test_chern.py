@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from test_cli import bundle_nodes, space_nodes
 
 from curvecount import chern
 from curvecount.bundles import (
@@ -148,12 +150,35 @@ def test_whitney_quotient_classes(top, sub, space):
     pytest.param(SEXTIC_VANISHING, CONICS, id="conic-twist"),
     pytest.param(TensorLine(Dual(TautSub()), RelO(2)), CONICS, id="twist-o2"),
     pytest.param(NESTED_TWIST, TOWER2, id="nested-twist"),
+    pytest.param(RelO(2), CONICS, id="o2"),
+    pytest.param(RelO(-1), CONICS, id="o-1"),
+    pytest.param(TautQuot(), GR36, id="Q"),
+    pytest.param(Dual(TautQuot()), GR36, id="Q*"),
+    pytest.param(Trivial(3), GR24, id="trivial"),
+    pytest.param(SEXTIC_OBSTRUCTION, CONICS, id="sextic-obstruction"),
+    # S is no sub of Q, so c(Q/S) stops at its rank, and s(Q) c(S) is not
+    # its inverse
+    pytest.param(WhitneyQuotient(TautQuot(), TautSub()), Grassmannian(2, 5), id="virtual"),
 ])
 def test_segre_inverts_chern(expr, space):
     # c * s = 1, with every class above the dimension zero
     ss = segre_classes(expr, space, space.dim + 2)
     assert all(s.is_zero() for s in ss[space.dim + 1:])
     assert total_chern(expr, space) * sum(ss[1:], ss[0]) == unit(space)
+
+
+@given(bundle_nodes(2), space_nodes(1))
+@settings(max_examples=150, deadline=None)
+def test_segre_inverts_chern_on_any_tree(expr, space):
+    # every constructor's rule for either sign, on a Grassmannian or a tower
+    assume(space.dim <= 8)
+    try:
+        rank(expr, space)
+    except InvalidBundleError:
+        assume(False)
+    ss = segre_classes(expr, space, space.dim)
+    assert total_chern(expr, space) * sum(ss[1:], ss[0]) == unit(space)
+    assert euler_class(expr, space) == chern_classes(expr, space)[-1]
 
 
 def test_segre_of_sub_are_single_row_classes():

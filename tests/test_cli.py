@@ -529,6 +529,12 @@ def test_gwdt_missing_divisor_is_semantic(capsys):
     code, _, err = _run(capsys, "gwdt", "--dt", "2=8")
     assert code == 3
     assert err == "error: DT table has no degree 1\n"
+    # the divisors come in pairs (k, m / k), so degree 1 is missed at once
+    for m in ("100000000", "1000000000000"):
+        start = time.perf_counter()
+        code, _, err = _run(capsys, "gwdt", "--dt", f"{m}=1")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (3, "error: DT table has no degree 1\n")
     code, _, err = _run(capsys, "gwdt", "--dt", "1=5,1=6")
     assert code == 3
     assert err == "error: degree 1 appears twice in the DT table\n"
