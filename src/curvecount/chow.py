@@ -30,10 +30,10 @@ each product c * x * y is the slot convolution of x and y, added into
 mutable per-slot coefficient dicts at any tower depth, and no relation is
 applied.  `integrate` and `pushforward` read sum_m s_(m-r+1)(E) * a_m, so
 integration never needs the relation; over a Grassmannian the last step is
-the pairing int sigma_lam * sigma_mu = [mu = lam^vee], with no product.  The
-relation runs only where a normal form is read: `==`, `is_zero` and `repr`
-go through `reduce_tower`, which folds zeta^m, m >= r, away from the top
-down and leaves at most r slots.
+the pairing int sigma_lam * sigma_mu = [mu = lam^vee], with no product.  A
+normal form, which `==`, `is_zero` and `repr` read through `reduce_tower`,
+comes off the same series: the pushforwards of zeta^j * x, j < r, fix its r
+slots by back-substitution, so the relation itself is never applied.
 
 Coefficients are plain Python numbers: the ring arithmetic never divides, so
 they stay `int` unless a caller scales by a `Fraction`, which the numeric
@@ -57,18 +57,13 @@ class SpaceMismatchError(ValueError):
     """Operands live on different spaces."""
 
 
-# local imports: chern builds on this module, so the dependency is deferred;
-# chern caches the classes
-def _relation_classes(space: ProjBundle):
-    from .chern import chern_classes
-
-    return chern_classes(space.bundle, space.base)
-
-
+# a local import: chern builds on this module, so the dependency is
+# deferred; chern caches the classes.  s_0..s_(r-1) are all present, zeros
+# past the base dimension, for the normal form's back-substitution
 def _segre_classes(space: ProjBundle):
     from .chern import segre_classes
 
-    return segre_classes(space.bundle, space.base, space.base.dim)
+    return segre_classes(space.bundle, space.base, max(space.base.dim, space.rank - 1))
 
 
 class ChowElement:
@@ -295,24 +290,28 @@ def _tower_multiply(x: ChowElement, y: ChowElement) -> ChowElement:
 
 
 def reduce_tower(space: ProjBundle, slots) -> ChowElement:
-    """The normal form of a list of zeta-power coefficients of any length.
+    """The normal form sum_{m<r} zeta^m b_m, r = rank E, of a list of
+    zeta-power coefficients of any length.
 
-    Powers zeta^m with m >= r are eliminated from the top down with the
-    defining relation zeta^r = -sum_{i=1}^{r} c_i(E) zeta^(r-i), and the r
+    It is read off the pushforwards p_j = pi_*(zeta^j x) =
+    sum_{t<=j} s_(j-t)(E) b_(r-1-t), j < r.  The system is unit-triangular
+    (s_0 = 1), so b_(r-1-j) = p_j - sum_{t<j} s_(j-t)(E) b_(r-1-t).  The r
     slots left are normalized on the base, so every tower level keeps at
     most its rank of slots.  Normal-form input comes back unchanged, so the
     operation is idempotent.
     """
     base, r = space.base, space.rank
-    slots = list(ChowElement(space, slots).data[: space.dim + 1])
-    cs = _relation_classes(space) if len(slots) > r else None
-    while len(slots) > r:
-        top, m = slots.pop(), len(slots)
-        for i in range(1, r + 1):
-            slots[m - i] = sum_of_products(base, ((1, slots[m - i], None), (-1, cs[i], top)))
+    slots = ChowElement(space, slots).data[: space.dim + 1]
+    if len(slots) > r:
+        ss, bs = _segre_classes(space), []  # bs[t] = b_(r-1-t)
+        for j in range(r):
+            # p_j = sum_k s_k a_(k+r-1-j), less the b found so far
+            terms = [(1, s, a) for s, a in zip(ss, slots[r - 1 - j:])]
+            terms += [(-1, ss[j - t], b) for t, b in enumerate(bs)]
+            bs.append(sum_of_products(base, terms))
+        slots = bs[::-1]
     if isinstance(base, ProjBundle):
-        for m, s in enumerate(slots):
-            slots[m] = reduce_tower(base, s.data)
+        slots = [reduce_tower(base, s.data) for s in slots]
     return ChowElement(space, slots)
 
 

@@ -226,15 +226,26 @@ _TOKEN_RE = re.compile(
 )
 
 
+# most parentheses open at once: the parser and both engines recurse once
+# per level, and far deeper input would exhaust Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Tokens:
     """The (kind, value, position) tokens of one text and a read cursor."""
 
     def __init__(self, text: str):
         self.end, self.pos, self.items = len(text), 0, []
+        depth = 0
         for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
             if kind == "bad":
                 raise ExprSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+            depth += (m[kind] == "(") - (m[kind] == ")")
+            if depth > MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"more than {MAX_NESTING} parentheses open", m.start(kind)
+                )
             self.items.append((kind, m[kind], m.start(kind)))
 
     def peek(self) -> tuple[str, str, int] | None:

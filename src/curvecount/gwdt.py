@@ -52,8 +52,10 @@ class InvariantTable:
     def __post_init__(self):
         if self.label not in ("GW", "DT"):
             raise ValueError('label must be "GW" or "DT"')
-        if any(d < 1 for d in self.values):
-            raise ValueError("curve degrees must be positive integers")
+        if any(not 1 <= d <= MAX_TABLE_DEGREE for d in self.values):
+            raise ValueError(
+                f"curve degrees must be integers from 1 to {MAX_TABLE_DEGREE}"
+            )
 
     def __getitem__(self, degree: int) -> Fraction:
         if degree not in self.values:
@@ -123,6 +125,12 @@ def aspinwall_morrison_factor(d: int) -> Fraction:
     if d < 1:
         raise ValueError("cover degree must be positive")
     return Fraction(1, d**3)
+
+
+# largest degree an InvariantTable accepts: the cover sums trial-divide up to
+# the square root of a degree, about 0.4 s for a prime near 10^12 and 24 s
+# near 10^16, and telling a large degree prime would need a primality test
+MAX_TABLE_DEGREE = 10**12
 
 
 # -- localization verification of the 1/d^3 factor -------------------------

@@ -259,6 +259,31 @@ def test_syntax_error_exit_code(capsys):
     assert "syntax error" in err
 
 
+def _dual_chain(k):
+    # c_1 of k nested duals of S, times s[1]^3: -2 on Gr(2,4) for even k, 2
+    # for odd; the chain opens k + 1 parentheses
+    return "c(1," + "dual(" * k + "S" + ")" * k + ")*s[1]^3"
+
+
+def test_nesting_past_the_limit_is_a_syntax_error(capsys):
+    for k, value in ((98, -2), (ex.MAX_NESTING - 1, 2)):
+        code, out, _ = _run(capsys, "integrate", "--space", "gr(2,4)",
+                            "--backend", "both", "--expr", _dual_chain(k))
+        assert code == 0 and out.startswith(f"integrate: {value}\n")
+    # refused at the first parenthesis past the limit, before any engine or
+    # the parser's own recursion runs
+    too_deep = (
+        (_dual_chain(ex.MAX_NESTING), 4 + 5 * ex.MAX_NESTING - 1),
+        ("(" * 1200 + "s[1]" + ")" * 1200 + "^4", ex.MAX_NESTING),
+    )
+    for text, position in too_deep:
+        code, out, err = _run(capsys, "integrate", "--space", "gr(2,4)",
+                              "--backend", "both", "--expr", text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: syntax error at position {position}: "
+                       f"more than {ex.MAX_NESTING} parentheses open\n")
+
+
 def test_semantic_error_exit_code(capsys):
     code, _, err = _run(capsys, "integrate", "--space", "gr(2,4)", "--expr", "zeta")
     assert code == 3
@@ -548,6 +573,20 @@ def test_gwdt_missing_divisor_is_semantic(capsys):
     code, _, err = _run(capsys, "gwdt", "--gw", "1=5,,  2/3")
     assert code == 2
     assert err.startswith("error: syntax error at position 7: expected degree=value")
+
+
+def test_gwdt_refuses_a_degree_past_the_bound(capsys):
+    # the cover sums trial-divide up to the square root of a degree
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "gwdt", "--dt", "1=1,10000000000000061=1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (f"error: curve degrees must be integers from 1 to "
+                   f"{gwdt.MAX_TABLE_DEGREE}\n")
+    # the largest prime up to the bound still answers
+    code, out, _ = _run(capsys, "gwdt", "--dt", "1=1,999999999989=1")
+    assert code == 0
+    assert "GW[999999999989] = 999999999978000000000122/999999999978000000000121" in out
 
 
 def test_am_verify_command(capsys):

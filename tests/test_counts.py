@@ -245,11 +245,11 @@ def test_package_all_names_each_attribute_once():
 
 def test_symbolic_counts_never_apply_the_tower_relation(monkeypatch):
     # the integrand is built unreduced and integrated by Segre pushforward,
-    # so the relation's Chern classes are never read
-    def refuse(space):
-        raise AssertionError(f"the relation of {space!r} was applied")
+    # so no normal form is ever computed
+    def refuse(space, slots):
+        raise AssertionError(f"a normal form on {space!r} was computed")
 
-    monkeypatch.setattr(chow, "_relation_classes", refuse)
+    monkeypatch.setattr(chow, "reduce_tower", refuse)
     assert count_conics(HypersurfaceProblem(4, 5, 2)) == 609250
     assert count_conics(HypersurfaceProblem(8, 11, 2)) == 6879170927773883986896
     assert count_conics(HypersurfaceProblem(5, 6, 2, 2)) == 440884080

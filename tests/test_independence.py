@@ -93,8 +93,8 @@ def test_names_read_sees_every_import_form():
 
 def test_one_package_import_sits_inside_a_function():
     # an import inside a function hides a cycle; the one left is the
-    # tower's: its relation needs the bundle's Chern classes and its
-    # pushforward the Segre classes, and chern builds both on the ring
+    # tower's: its pushforward and its normal form read the bundle's Segre
+    # classes, and chern builds them on the ring
     inner = {}
     for module in MODULES:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
@@ -104,7 +104,4 @@ def test_one_package_import_sits_inside_a_function():
                     if isinstance(node, ast.ImportFrom) and node.level == 1:
                         # keyed by node: a nested function is walked twice
                         inner.setdefault(id(node), (module, fn.name, node.module))
-    assert list(inner.values()) == [
-        ("chow", "_relation_classes", "chern"),
-        ("chow", "_segre_classes", "chern"),
-    ]
+    assert list(inner.values()) == [("chow", "_segre_classes", "chern")]
