@@ -113,7 +113,7 @@ from .symfunc import elementary_symmetric, sym_power_roots
 MAX_SEED = 64
 
 
-class WeightCollisionError(RuntimeError):
+class WeightCollisionError(ValueError):
     """The weight vector degenerates a fixed-point fiber; retry with fresh weights."""
 
 

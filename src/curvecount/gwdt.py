@@ -34,12 +34,8 @@ from typing import Iterator, Mapping, NamedTuple
 from .bott import weight_search
 
 
-class MissingDivisorError(KeyError):
+class MissingDivisorError(ValueError):
     """A table lookup needs a divisor degree that is not present."""
-
-    def __str__(self) -> str:
-        # KeyError would print the message with its repr quotes
-        return str(self.args[0])
 
 
 @dataclass(frozen=True)
@@ -59,9 +55,7 @@ class InvariantTable:
 
     def __getitem__(self, degree: int) -> Fraction:
         if degree not in self.values:
-            raise MissingDivisorError(
-                f"{self.label} table has no degree {degree}"
-            )
+            raise MissingDivisorError(f"{self.label} table has no degree {degree}")
         return Fraction(self.values[degree])
 
 

@@ -277,6 +277,9 @@ def expand_linear_product(
     `sym_power_roots(d, r)`: nonnegative integer vectors over the Chern
     roots x_1..x_r of the argument, each summing to d.
     The product is expanded in root monomials and truncated in total degree.
+    An s_lam read has at most `truncation` rows and keeps its value when the
+    later roots are set to zero, so the product runs over the first
+    min(r, truncation) roots, without the forms that vanish there.
 
     The truncated product is held as a packed integer, box-bounded: the
     monomial x^a is a slot of a fixed number of bytes at position
@@ -312,6 +315,9 @@ def expand_linear_product(
     # the product has degree at most the number of factors
     top = max(min(truncation, len(forms)), 0)
     width = top if cols is None else min(cols, top)
+    if r > top:
+        r = max(top, 1)
+        forms = [m[:r] for m in forms if any(m[:r])]
     caps = [min(top, min(width, top // (i + 1)) + r - 1 - i) for i in range(r)]
     steps = [1]
     for cap in caps:

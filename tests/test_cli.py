@@ -230,6 +230,12 @@ def test_integrate_command(capsys):
         pytest.param("pbundle(sym(2,dual(S)),gr(3,5))",
                      "c(11,quot(sym(6,dual(S)),tensor(sym(4,dual(S)),o(-1))))",
                      {"num": "188068995", "den": "1"}, id="quot-rank-above-dim"),
+        # a nested Sym of rank 20 and 15 on a space of dimension 4: the
+        # Schur expansion runs in 4 roots of the argument
+        pytest.param("gr(1,5)", "c(4,sym(2,sym(3,Q)))",
+                     {"num": "412806030", "den": "1"}, id="sym-sym-rank-above-dim"),
+        pytest.param("gr(1,5)", "c(4,sym(3,sym(2,Q)))",
+                     {"num": "496548465", "den": "1"}, id="sym-sym-cube-rank-above-dim"),
     ],
 )
 def test_integrate_both_backends_agree(capsys, space, expr, value):
@@ -573,6 +579,21 @@ def test_gwdt_missing_divisor_is_semantic(capsys):
     code, _, err = _run(capsys, "gwdt", "--gw", "1=5,,  2/3")
     assert code == 2
     assert err.startswith("error: syntax error at position 7: expected degree=value")
+
+
+def test_gwdt_refuses_a_value_that_is_not_an_integer_or_p_over_q(capsys):
+    # Fraction would expand the exponent to a hundred million digits
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "gwdt", "--dt", "1=1e100000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: syntax error at position 0: bad table entry "
+                   "'1=1e100000000': the value must be an integer or p/q\n")
+    for value in ("0.5", "1_000", "2/-3", "x"):
+        assert _run(capsys, "gwdt", "--dt", f"1={value}")[0] == 2
+    code, out, _ = _run(capsys, "gwdt", "--dt", "1=-3/4, 2= +5")
+    assert code == 0
+    assert "GW[1] = -3/4" in out
 
 
 def test_gwdt_refuses_a_degree_past_the_bound(capsys):

@@ -1,7 +1,10 @@
+import ast
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from test_readme import README
 
 import curvecount
 from curvecount import bott, bundles, chern, chow, counts
@@ -241,6 +244,13 @@ def test_package_all_names_each_attribute_once():
     star = {}
     exec("from curvecount import *", star)
     assert set(names) <= set(star)
+    # the package exports exactly the names README's library example imports
+    section = README.read_text().split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    imported = [alias.name for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module == "curvecount"
+                for alias in node.names]
+    assert names == imported
 
 
 def test_symbolic_counts_never_apply_the_tower_relation(monkeypatch):
