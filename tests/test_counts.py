@@ -1,10 +1,9 @@
 import ast
-import re
 import time
 from fractions import Fraction
 
 import pytest
-from test_readme import README
+from test_readme import library_example
 
 import curvecount
 from curvecount import bott, bundles, chern, chow, counts
@@ -245,9 +244,7 @@ def test_package_all_names_each_attribute_once():
     exec("from curvecount import *", star)
     assert set(names) <= set(star)
     # the package exports exactly the names README's library example imports
-    section = README.read_text().split("## Library", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
-    imported = [alias.name for node in ast.walk(ast.parse(code))
+    imported = [alias.name for node in ast.walk(ast.parse(library_example()))
                 if isinstance(node, ast.ImportFrom) and node.module == "curvecount"
                 for alias in node.names]
     assert names == imported

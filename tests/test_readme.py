@@ -34,10 +34,15 @@ def test_readme_command(capsys, line):
         assert out.splitlines()[0].endswith(f": {value[1]}"), out
 
 
+def library_example() -> str:
+    """The Python block of README's Library section."""
+    section = README.read_text().split("## Library", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S)[1]
+
+
 def test_readme_library_example():
     # each print's comment begins with the line it prints
-    section = README.read_text().split("## Library", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    code = library_example()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(code, {})
