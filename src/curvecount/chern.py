@@ -178,7 +178,7 @@ def _schur_classes(arg: BundleExpr, space: Space, top: int):
         # each of which has a shorter last row
         if lam not in schur:
             head, last = lam[:-1], lam[-1]
-            strips = symfunc.pieri_multiply(head, last, (len(lam), space.dim))
+            strips = [nu for nu, _ in symfunc.schubert_product(head, (last,), len(lam), space.dim)]
             schur[lam] = chow.sum_of_products(
                 space,
                 [(1, h[last], s(head))]

@@ -50,7 +50,6 @@ from math import comb
 
 from . import symfunc
 from .bundles import Grassmannian, ProjBundle, Space
-from .symfunc import Partition
 
 
 class SpaceMismatchError(ValueError):
@@ -380,10 +379,3 @@ def integrate(x: ChowElement) -> Fraction:
         for lam, c in s.data.items():
             total += c * a.data.get(symfunc.box_complement(lam, rows, cols), 0)
     return Fraction(total)
-
-
-def basis(space: Grassmannian) -> tuple[Partition, ...]:
-    """Schubert-basis partitions of a Grassmannian, sorted by weight."""
-    if not isinstance(space, Grassmannian):
-        raise SpaceMismatchError("basis() needs a Grassmannian")
-    return symfunc.enumerate_partitions(space.rows, space.cols)

@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 a reported check failed, 2 syntax error in an
 expression, space or table, or a usage error in the arguments, 3 semantic
 error (invalid bundle/space combination, degree mismatch, unsupported
 integrand), 4 out of memory (an allocation failed, or a computation was
-refused because it could not fit), 141 the reader closed standard output
-early (a broken pipe).
+refused because it would pass a fixed size bound), 141 the reader closed
+standard output early (a broken pipe).
 """
 
 from __future__ import annotations
@@ -129,9 +129,12 @@ def _parse_table(text: str, label: str) -> gwdt.InvariantTable:
             raise ExprSyntaxError(f"expected degree=value, found {item!r}", start)
         deg, _, val = item.partition("=")
         try:
-            # the grammar's scalars; Fraction alone would expand 1e100000000
+            # the grammar's integers and scalars; int() alone would read 1_0
+            # as 10, and Fraction alone would expand 1e100000000
             if not re.fullmatch(r"\s*[-+]?\d+(/\d+)?\s*", val):
                 raise ValueError("the value must be an integer or p/q")
+            if not re.fullmatch(r"\s*[-+]?\d+\s*", deg):
+                raise ValueError("the degree must be an integer")
             degree, value = int(deg), Fraction(val)
         except (ValueError, ZeroDivisionError) as err:
             raise ExprSyntaxError(f"bad table entry {item!r}: {err}", start) from err

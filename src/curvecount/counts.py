@@ -186,17 +186,6 @@ def incidence_from_universal_curve(problem: HypersurfaceProblem) -> ChowElement:
     return chow.pushforward(cls)
 
 
-def curve_plane_degree(problem: HypersurfaceProblem) -> Fraction:
-    """Fiberwise degree of the universal curve: the pushforward of [C] * h,
-    which must be a constant times the unit of the moduli."""
-    h = chow.zeta(universal_curve_space(problem))
-    down = chow.pushforward(universal_curve_class(problem) * h)
-    degree = Fraction(down._constant())
-    if down != degree * chow.unit(down.space):
-        raise ArithmeticError("fiber degree is not constant over the moduli")
-    return degree
-
-
 # -- the counts ------------------------------------------------------------
 
 

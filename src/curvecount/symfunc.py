@@ -3,14 +3,13 @@
 Partitions are plain tuples of weakly decreasing positive integers with
 trailing zeros trimmed; the empty tuple is the empty partition.  This module
 provides the combinatorial layer everything else is built on: box-bounded
-partition enumeration, the Pieri rule, Littlewood-Richardson numbers by one
-walk that adds horizontal strips, and the Schur expansion of the total
-Chern class of Sym^d of a rank-r bundle, given d and r.  The walk adds the
-rows of one factor to the other, one labelled strip per row under the
-lattice condition; the Pieri rule is its one-strip case.  The Sym^d root
-product is held as a packed integer, box-bounded: one fixed-width slot per
-root monomial, with exponents capped at what the partitions inside a
-caller's box can read.
+partition enumeration, Schubert products by one walk that adds horizontal
+strips, and the Schur expansion of the total Chern class of Sym^d of a
+rank-r bundle, given d and r.  The walk adds the rows of one factor to the
+other, one labelled strip per row under the lattice condition; the Pieri
+rule is its one-strip case.  The Sym^d root product is held as a packed
+integer, box-bounded: one fixed-width slot per root monomial, with
+exponents capped at what the partitions inside a caller's box can read.
 
 All functions are pure.  The caches only ever store values that any caller
 would recompute identically, so concurrent readers and redundant concurrent
@@ -19,12 +18,14 @@ writes are harmless.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import permutations
 from math import comb, prod
 
 Partition = tuple[int, ...]
+
+# the bytes a packed Sym^d root product may take, the same on every host
+_MAX_PACKED_BYTES = 2**28
 
 
 def partition(parts) -> Partition:
@@ -75,15 +76,6 @@ def _partitions(rows: int, cols: int, total: int):
     for first in range(1, min(cols, total) + 1):
         for rest in _partitions(rows - 1, first, total - first):
             yield (first, *rest)
-
-
-@lru_cache(maxsize=None)
-def enumerate_partitions(rows: int, cols: int) -> tuple[Partition, ...]:
-    """All partitions inside a rows x cols box, sorted by weight then lex."""
-    if rows < 0 or cols < 0:
-        raise ValueError("box sides must be nonnegative")
-    parts = _partitions(rows, cols, rows * cols)
-    return tuple(sorted(parts, key=lambda p: (weight(p), p)))
 
 
 def conjugate(lam: Partition) -> Partition:
@@ -137,23 +129,6 @@ def _horizontal_strips(
     return tuple(out)
 
 
-def pieri_multiply(lam: Partition, i: int, box: tuple[int, int]) -> list[Partition]:
-    """Partitions obtained from lam by adding a horizontal strip of size i.
-
-    Results that leave the box are dropped, which is exactly the Pieri rule
-    for multiplying a Schubert class by the i-th special class.  This is one
-    step of the strip walk behind `schubert_product`.
-    """
-    rows, cols = box
-    lam = partition(lam)
-    if i < 0:
-        raise ValueError("strip size must be nonnegative")
-    if not fits_box(lam, rows, cols):
-        return []
-    padded = lam + (0,) * (rows - len(lam))
-    return [_trim(nu) for nu, _ in _horizontal_strips(padded, i, (cols,) * rows, None)]
-
-
 def _trim(padded: Partition) -> Partition:
     end = len(padded)
     while end and not padded[end - 1]:
@@ -187,17 +162,8 @@ def _strip_walk(lam: Partition, mu: Partition, outer: Partition) -> dict[Partiti
     return out
 
 
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson number c^nu_{lam,mu}.
-
-    Counts column-strict fillings of the skew shape nu/lam with content mu
-    whose reverse reading word (rows top to bottom, each row right to left)
-    is a lattice word, by the strip walk of `schubert_product` confined to
-    the shape nu.
-    """
-    return _lr(partition(lam), partition(mu), partition(nu))
-
-
+# c^nu_{lam,mu} by the strip walk confined to nu.  Only bench/tracing.py
+# reads it, into its table of caches, so it goes when that tracer goes
 @lru_cache(maxsize=None)
 def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     if weight(lam) + weight(mu) != weight(nu):
@@ -292,11 +258,11 @@ def expand_linear_product(
     past the truncation, so the slots a multiply carries one degree too
     high, which the mask then drops, never overflow into a kept slot.  Digit
     i has radix cap_i + 2, so an exponent of cap_i + 1 stays inside its
-    digit.  The packed size is known before any monomial is listed: when
-    eight integers of that size cannot fit in physical memory, MemoryError
-    is raised at once.  The root set is closed under permuting the roots,
-    so every coefficient must equal the one of its exponent vector sorted;
-    a mismatch means the packing lost a carry, and raises ValueError.
+    digit.  The packed size is known before any monomial is listed: when it
+    exceeds `_MAX_PACKED_BYTES`, MemoryError is raised at once.  The root
+    set is closed under permuting the roots, so every coefficient must
+    equal the one of its exponent vector sorted; a mismatch means the
+    packing lost a carry, and raises ValueError.
 
     The Schur coefficients are read off with Jacobi's bialternant
     s_lam = a_{lam+delta} / a_delta: c_lam = sum_w sgn(w) [x^(lam_i + w(i) - i)]
@@ -325,7 +291,7 @@ def expand_linear_product(
     bound = max(comb(len(forms), j) * d**j for j in range(top + 2))
     wb = (bound.bit_length() + 7) // 8  # bytes per slot
     size = steps[-1] * wb  # bytes of a packed integer, unmasked slots too
-    if 8 * size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    if size > _MAX_PACKED_BYTES:
         raise MemoryError(
             f"expanding {len(forms)} forms in {r} roots up to degree {top} "
             f"needs {size} bytes per packed integer"

@@ -12,14 +12,13 @@ from fractions import Fraction
 from curvecount import chow, cli, counts, gwdt
 from curvecount.bundles import Dual, Grassmannian, ProjBundle, Sym, TautQuot, TautSub
 from curvecount.chern import segre_classes, total_chern
-from curvecount.chow import basis, integrate, sigma, unit, zeta
+from curvecount.chow import integrate, sigma, unit, zeta
 from curvecount.counts import HypersurfaceProblem
 from curvecount.symfunc import (
+    _partitions,
     box_complement,
-    enumerate_partitions,
-    lr_coefficient,
     partition,
-    pieri_multiply,
+    schubert_product,
     weight,
 )
 
@@ -176,10 +175,11 @@ def test_criterion_7_property_suites():
     # Poincare duality orthonormality
     for gr in (Grassmannian(2, 4), Grassmannian(2, 5), Grassmannian(3, 6)):
         top = gr.rows * gr.cols
-        for lam in basis(gr):
+        box = tuple(_partitions(gr.rows, gr.cols, top))
+        for lam in box:
             mu = box_complement(lam, gr.rows, gr.cols)
             ok = ok and integrate(sigma(gr, lam) * sigma(gr, mu)) == 1
-            for nu in basis(gr):
+            for nu in box:
                 if weight(lam) + weight(nu) == top and nu != mu:
                     ok = ok and integrate(sigma(gr, lam) * sigma(gr, nu)) == 0
 
@@ -198,13 +198,18 @@ def test_criterion_7_property_suites():
         elt = zeta(tower) ** k
         ok = ok and chow.reduce_tower(tower, list(elt.data)) == elt
 
-    # LR vs Pieri
-    for lam in enumerate_partitions(3, 3):
+    # Pieri against the interlacing rule: sigma_lam * sigma_i is the sum of
+    # the nu with |nu| = |lam| + i and nu_1 >= lam_1 >= nu_2 >= lam_2 >= ...
+    box = tuple(_partitions(3, 3, 9))
+    for lam in box:
         for i in range(4):
-            strips = set(pieri_multiply(lam, i, (3, 3)))
-            for nu in enumerate_partitions(3, 3):
-                want = 1 if nu in strips else 0
-                ok = ok and lr_coefficient(lam, partition([i]), nu) == want
+            want = {}
+            for nu in box:
+                n, m = nu + (0,) * 4, lam + (0,) * 3
+                if weight(nu) == weight(lam) + i and all(
+                        n[j + 1] <= m[j] <= n[j] for j in range(3)):
+                    want[nu] = 1
+            ok = ok and dict(schubert_product(lam, partition([i]), 3, 3)) == want
 
     # GW/DT inversion round-trip on random tables
     rng = random.Random(11)

@@ -236,6 +236,12 @@ def test_integrate_command(capsys):
                      {"num": "412806030", "den": "1"}, id="sym-sym-rank-above-dim"),
         pytest.param("gr(1,5)", "c(4,sym(3,sym(2,Q)))",
                      {"num": "496548465", "den": "1"}, id="sym-sym-cube-rank-above-dim"),
+        # a nested Sym whose Pieri step runs on a large class, and the
+        # largest packed Sym expansion answered so far (3628800 bytes)
+        pytest.param("gr(3,7)", "c(12,sym(2,sym(2,dual(S))))",
+                     {"num": "10241034384", "den": "1"}, id="sym-sym-gr37"),
+        pytest.param("gr(2,9)", "c(8,sym(2,Q))*s[1]^6",
+                     {"num": "394416", "den": "1"}, id="sym-Q-gr29"),
     ],
 )
 def test_integrate_both_backends_agree(capsys, space, expr, value):
@@ -326,15 +332,21 @@ def test_out_of_memory_exit_code(capsys, monkeypatch, backend):
 
 
 def test_a_packed_sym_expansion_beyond_memory_is_refused_at_once(capsys):
-    # Sym^2 of the rank-15 sym(2,dual(S)) on gr(5,10) would take some 55 PB
-    # per packed integer
-    start = time.perf_counter()
-    code, out, err = _run(capsys, "integrate", "--space", "gr(5,10)",
-                          "--expr", "c(1,sym(2,sym(2,dual(S))))*s[1]^24")
-    assert time.perf_counter() - start < 5.0
-    assert (code, out) == (4, "")
-    assert err.startswith("error: out of memory: expanding 120 forms in 15 roots")
-    assert err.count("\n") == 1
+    # the bound is a constant, so each is refused alike on every host
+    refused = (
+        # Sym^2 of the rank-15 sym(2,dual(S)) on gr(5,10): some 55 PB
+        ("gr(5,10)", "c(1,sym(2,sym(2,dual(S))))*s[1]^24", 120, 15, 25, 54984671501760000),
+        # localization answers these two, 1321320 and 199680624
+        ("gr(4,8)", "c(1,sym(2,sym(2,dual(S))))*s[1]^15", 55, 10, 16, 17557585920),
+        ("gr(2,12)", "c(8,sym(2,Q))*s[1]^12", 55, 10, 20, 9340531200),
+    )
+    for space, expr, forms, roots, top, size in refused:
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "integrate", "--space", space, "--expr", expr)
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (4, "")
+        assert err == (f"error: out of memory: expanding {forms} forms in {roots} roots "
+                       f"up to degree {top} needs {size} bytes per packed integer\n")
 
 
 def test_above_top_degree_is_refused_alike_by_every_backend(capsys):
@@ -594,6 +606,21 @@ def test_gwdt_refuses_a_value_that_is_not_an_integer_or_p_over_q(capsys):
     code, out, _ = _run(capsys, "gwdt", "--dt", "1=-3/4, 2= +5")
     assert code == 0
     assert "GW[1] = -3/4" in out
+
+
+def test_gwdt_reads_a_degree_as_the_grammar_reads_an_integer(capsys):
+    # int() alone would read 1_0 as 10
+    code, out, err = _run(capsys, "gwdt", "--dt", "1_0=5,1=1,2=1,5=1")
+    assert (code, out) == (2, "")
+    assert err == ("error: syntax error at position 0: bad table entry "
+                   "'1_0=5': the degree must be an integer\n")
+    # a sign is read, and the range check refuses what it reads
+    code, out, _ = _run(capsys, "gwdt", "--dt", "+1=1, +2=3")
+    assert code == 0 and "GW[2] = 13/4" in out
+    code, out, err = _run(capsys, "gwdt", "--dt=-1=1")
+    assert (code, out) == (3, "")
+    assert err == (f"error: curve degrees must be integers from 1 to "
+                   f"{gwdt.MAX_TABLE_DEGREE}\n")
 
 
 def test_gwdt_refuses_a_degree_past_the_bound(capsys):

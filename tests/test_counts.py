@@ -18,11 +18,12 @@ from curvecount.counts import (
     count_conics,
     count_curves,
     count_lines,
-    curve_plane_degree,
     dimension_ledger,
     incidence_from_universal_curve,
     line_obstruction,
     line_space,
+    universal_curve_class,
+    universal_curve_space,
 )
 
 
@@ -98,8 +99,10 @@ def test_incidence_is_built_without_ring_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("curve_degree,expected", [(1, 1), (2, 2)])
 def test_universal_curve_has_the_right_fiber_degree(curve_degree, expected):
-    assert curve_plane_degree(HypersurfaceProblem(5, 6, curve_degree)) == expected
-    assert curve_plane_degree(HypersurfaceProblem(4, 6, curve_degree)) == expected
+    # [C] * h pushes down to the degree of the curve times the unit
+    for p in (HypersurfaceProblem(5, 6, curve_degree), HypersurfaceProblem(4, 6, curve_degree)):
+        h = chow.zeta(universal_curve_space(p))
+        assert chow.pushforward(universal_curve_class(p) * h) == expected * chow.unit(p.space)
 
 
 @pytest.mark.parametrize("backend", ["symbolic", "bott"])

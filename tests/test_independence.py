@@ -2,11 +2,13 @@
 imports that would break it are refused here, read off the source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "curvecount"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "curvecount"
 
 
 def only(*names):
@@ -105,3 +107,46 @@ def test_one_package_import_sits_inside_a_function():
                         # keyed by node: a nested function is walked twice
                         inner.setdefault(id(node), (module, fn.name, node.module))
     assert list(inner.values()) == [("chow", "_segre_classes", "chern")]
+
+
+def _defined(tree) -> set[str]:
+    """The public names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _read(tree, strings: bool = False) -> set[str]:
+    """The identifiers a module reads: loaded names, attributes, imported
+    names and, with `strings`, the identifiers inside string constants."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a name only the tests read is a second entry point to what the engine
+    # runs; bench/ names some of its targets in strings, and README's code
+    # blocks show the ones a user calls
+    trees = {path: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    read = set().union(*map(_read, trees.values()))
+    for path in (ROOT / "bench").glob("*.py"):
+        read |= _read(ast.parse(path.read_text()), strings=True)
+    for block in re.findall(r"```\w*\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        read.update(re.findall(r"\w+", block))
+    unread = {f"{path.stem}.{name}" for path, tree in trees.items()
+              for name in _defined(tree) - read}
+    assert unread == set()

@@ -11,12 +11,9 @@ from curvecount.symfunc import (
     box_complement,
     contains,
     elementary_symmetric,
-    enumerate_partitions,
     expand_linear_product,
     fits_box,
-    lr_coefficient,
     partition,
-    pieri_multiply,
     schubert_product,
     sym_power_roots,
     weight,
@@ -64,55 +61,78 @@ def test_box_complement():
     assert box_complement((2, 2), 2, 2) == ()
 
 
-def test_enumerate_partitions_count_matches_binomial():
+def _box(rows, cols):
+    return tuple(symfunc._partitions(rows, cols, rows * cols))
+
+
+def _lr(lam, mu, nu):
+    # c^nu_{lam,mu}, read off the product in the smallest box that holds nu
+    return dict(schubert_product(lam, mu, len(nu), nu[0] if nu else 0)).get(nu, 0)
+
+
+def _pieri(lam, i, rows, cols):
+    # the Pieri step of chern._schur_classes: the shapes of sigma_lam * sigma_i
+    return [nu for nu, _ in schubert_product(lam, partition([i]), rows, cols)]
+
+
+def test_box_partition_count_matches_binomial():
     # partitions in a k x (n-k) box index the Schubert basis of Gr(k, n)
-    assert len(enumerate_partitions(3, 3)) == comb(6, 3)
-    assert len(enumerate_partitions(2, 2)) == comb(4, 2)
-    assert len(enumerate_partitions(2, 3)) == comb(5, 2)
+    assert len(_box(3, 3)) == comb(6, 3)
+    assert len(_box(2, 2)) == comb(4, 2)
+    assert len(_box(2, 3)) == comb(5, 2)
 
 
-def test_enumerate_partitions_small():
-    assert set(enumerate_partitions(2, 2)) == {(), (1,), (2,), (1, 1), (2, 1), (2, 2)}
+def test_box_partitions_small():
+    assert set(_box(2, 2)) == {(), (1,), (2,), (1, 1), (2, 1), (2, 2)}
 
 
 def test_pieri_horizontal_strips():
-    assert set(pieri_multiply((1,), 1, (2, 2))) == {(2,), (1, 1)}
-    assert set(pieri_multiply((2,), 2, (2, 2))) == {(2, 2)}
-    assert pieri_multiply((2, 2), 1, (2, 2)) == []
-    assert set(pieri_multiply((2, 1), 1, (3, 3))) == {(3, 1), (2, 2), (2, 1, 1)}
+    assert set(_pieri((1,), 1, 2, 2)) == {(2,), (1, 1)}
+    assert set(_pieri((2,), 2, 2, 2)) == {(2, 2)}
+    assert _pieri((2, 2), 1, 2, 2) == []
+    assert set(_pieri((2, 1), 1, 3, 3)) == {(3, 1), (2, 2), (2, 1, 1)}
 
 
 def test_pieri_zero_row_is_identity():
-    assert pieri_multiply((2, 1), 0, (3, 3)) == [(2, 1)]
+    assert _pieri((2, 1), 0, 3, 3) == [(2, 1)]
 
 
 def test_lr_small_values():
-    assert lr_coefficient((2,), (1,), (2, 1)) == 1
-    assert lr_coefficient((1, 1), (2,), (2, 2)) == 0
-    assert lr_coefficient((1,), (1,), (2,)) == 1
-    assert lr_coefficient((1,), (1,), (1, 1)) == 1
-    assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+    assert _lr((2,), (1,), (2, 1)) == 1
+    assert _lr((1, 1), (2,), (2, 2)) == 0
+    assert _lr((1,), (1,), (2,)) == 1
+    assert _lr((1,), (1,), (1, 1)) == 1
+    assert _lr((2, 1), (2, 1), (3, 2, 1)) == 2
 
 
 def test_lr_weight_mismatch_is_zero():
-    assert lr_coefficient((2,), (1,), (2, 2)) == 0
+    assert _lr((2,), (1,), (2, 2)) == 0
 
 
 @given(partitions_in_box(), partitions_in_box())
 @settings(max_examples=60, deadline=None)
 def test_lr_commutes(lam, mu):
-    for nu in enumerate_partitions(3, 3):
-        assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu)
+    # schubert_product serves both orders from one walk, so the walk itself
+    # runs in both orders here
+    outer = (3, 3, 3)
+    assert symfunc._strip_walk(lam, mu, outer) == symfunc._strip_walk(mu, lam, outer)
+
+
+def _horizontal_strip(nu, lam, rows):
+    # nu/lam is a horizontal strip when the rows interlace:
+    # nu_1 >= lam_1 >= nu_2 >= lam_2 >= ...
+    lam, nu = lam + (0,) * (rows - len(lam)), nu + (0,) * (rows + 1 - len(nu))
+    return all(nu[j + 1] <= lam[j] <= nu[j] for j in range(rows))
 
 
 @given(partitions_in_box(), st.integers(min_value=0, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_lr_agrees_with_pieri(lam, i):
-    # multiplying by a one-row shape must reproduce the Pieri expansion
-    strips = pieri_multiply(lam, i, (3, 3))
-    for nu in enumerate_partitions(3, 3):
-        expected = 1 if nu in strips else 0
-        assert lr_coefficient(lam, partition([i]), nu) == expected
+    # multiplying by a one-row shape must reproduce the Pieri expansion: one
+    # of every shape in the box that adds a horizontal strip of i cells
+    for nu in _box(3, 3):
+        expected = weight(nu) == weight(lam) + i and _horizontal_strip(nu, lam, 3)
+        assert _lr(lam, partition([i]), nu) == expected
 
 
 def _reference_lr(lam, mu, nu):
@@ -157,7 +177,7 @@ def _reference_lr(lam, mu, nu):
 
 @pytest.mark.parametrize("rows,cols", [(2, 5), (3, 4), (3, 6), (4, 4)])
 def test_schubert_product_matches_the_skew_tableau_search(rows, cols):
-    box = enumerate_partitions(rows, cols)
+    box = _box(rows, cols)
     for lam in box:
         for mu in box:
             expected = {}
@@ -168,17 +188,17 @@ def test_schubert_product_matches_the_skew_tableau_search(rows, cols):
             assert dict(schubert_product(lam, mu, rows, cols)) == expected, (lam, mu)
 
 
-def test_lr_coefficient_matches_the_skew_tableau_search():
+def test_lr_numbers_match_the_skew_tableau_search():
     # every triple with |lam| + |mu| = |nu| <= 8; other weights are zero by
     # test_lr_weight_mismatch_is_zero
-    by_weight = [[lam for lam in enumerate_partitions(n, n) if weight(lam) == n]
+    by_weight = [[lam for lam in _box(n, n) if weight(lam) == n]
                  for n in range(9)]
     for n in range(9):
         for nu in by_weight[n]:
             for a in range(n + 1):
                 for lam in by_weight[a]:
                     for mu in by_weight[n - a]:
-                        got = lr_coefficient(lam, mu, nu)
+                        got = _lr(lam, mu, nu)
                         assert got == _reference_lr(lam, mu, nu), (lam, mu, nu)
 
 
@@ -287,7 +307,7 @@ def _reference_expand(forms, nvars, truncation):
         poly = {k: v for k, v in new.items() if v}
     out = {}
     for rows in range(nvars + 1):
-        for lam in enumerate_partitions(rows, truncation):
+        for lam in _box(rows, truncation):
             if len(lam) != rows or weight(lam) > truncation:
                 continue
             c = 0
