@@ -19,14 +19,15 @@ The integrand is lifted once per `bott_integrate` call, after one walk,
 `_check`, refuses zeta off a projective bundle, where it has no lift (an
 unsupported expression, not a wrong answer), and every bundle `rank`
 rejects, in walk order as the symbolic engine does.  `evaluate_at` and
-`bundle_weights` walk the expression once and return per-point evaluators,
-functions of (pt, weights, memo), and refuse an atom with no lift, so a
-refusal comes before any fixed point is built.  `fixed_points` lifts each
-tower level's bundle the same way, so every weight comes from one path.
-Supported atoms are rational constants, Schubert classes, zeta (lifted as
-minus the weight of the chosen eigenline), and Chern or Euler factors of
-bundle expressions.  sigma_1 is c1 of the tautological quotient, the sum of
-its weights; any other sigma_lam is the Giambelli determinant
+`bundle_weights` walk the expression once and return group evaluators,
+functions of (pts, weights, memo) that take the records over one subset and
+return one value or weight list per record.  They refuse an atom with no
+lift, so a refusal comes before any fixed point is built.  `fixed_points`
+lifts each tower level's bundle the same way, so every weight comes from one
+path.  Supported atoms are rational constants, Schubert classes, zeta
+(lifted as minus the weight of the chosen eigenline), and Chern or Euler
+factors of bundle expressions.  sigma_1 is c1 of the tautological quotient,
+the sum of its weights; any other sigma_lam is the Giambelli determinant
 det(c_{lam_i + j - i}(Q)), with c_k(Q) the k-th elementary symmetric
 function of the quotient weights.
 
@@ -35,27 +36,25 @@ as integer vectors over local slots.  At the subset I of Gr(k, n), slot
 j < k is the j-th element of I and slot k + j the j-th of the complement,
 both increasing; a weight is its vector dotted with these local weights.
 Each rule of `bundle_weights`, the one rule set, is linear in the weights,
-so `_character` reads the vectors off it at the unit weight vectors, once
-per (node, space) for all chains of eigenline indices (one per level), the
-chains sharing one memo per unit vector.  A quotient's weights at a point
-are the top's at the positions `_kept` leaves for the chain; a sub not
+so `_characters` reads the vectors off it at the unit weight vectors, once
+per (node, space), in one group call per unit vector at the records over the
+subset range(k).  A quotient's weights at a point are the top's at the
+positions `_kept` leaves for the chain of eigenline indices; a sub not
 contained in the top is refused at lift time.
 
-Sym powers are the largest bundles of the integrand (Sym^20 S* has 231
-weights at each conic point of P^14), and their weights depend only on the
-argument's weights.  `_integrate_once` keeps one memo per `subset`, emptied
-when the subset changes.  The evaluators read it at a Sym node, keyed by
-(degree, argument weights).  Because the key holds the weights, a Sym of a
+On a projective bundle, a node that mentions neither zeta nor a relative
+O(k) has one value at every point over a subset, at any tower depth (the
+projection formula, localized).  That is decided once, at the lift: such a
+node, say c_3(Q) or the conic obstruction's Sym^6 S*, is lifted on the
+bottom Grassmannian, evaluated once per group and its value repeated for
+every record.  `_integrate_once` passes one memo per group, which the
+evaluators read at a Sym node, keyed by (degree, argument weights), so a
+Sym is built once per subset however many nodes read it, and a Sym of a
 twisted argument such as S(1) stays right at every eigenline.  Sym weights
 are built by `_sym_weights`, one dot product per exponent vector of all but
 the last two argument weights and one arithmetic progression in those two,
-so Sym^20 S* takes 21 dot products, not 231.  The memo also holds the
-values of the nodes pulled back from the base: on a projective bundle, a
-node that mentions neither zeta nor a relative O(k) has one value at every
-point over a subset, at any tower depth (the projection formula, localized).
-That is decided once, when the integrand is lifted, so such a factor, say
-c_3(Q) or sigma_1, is evaluated once per subset rather than once per
-eigenline.
+so Sym^20 S* (231 weights at each conic point of P^14) takes 21 dot
+products.
 
 The integral is the exact rational sum over fixed points of (numerator
 weights) / (product of tangent weights).  Numerators are plain integers,
@@ -63,16 +62,16 @@ rational only when the integrand carries a p/q scalar.  The sum is taken one
 tower level at a time, each over one Vandermonde product.  A fibre with
 weights f_0..f_{r-1} has the tangent product T_i = prod_{m != i}(f_m - f_i)
 at its eigenline i, which divides V_f = prod_{a<b}(f_b - f_a); the r points
-over one point below sum as the integer sum_i (V_f // T_i) * value_i over
-one `Fraction` by V_f.  Points over one point below arrive contiguous from
-`fixed_points`, so the tower folds from the top level down, and the base
-Grassmannian ends the fold the same way: each base tangent product
+over one point below sum to s / V_f, s = sum_i (V_f // T_i) * value_i.  For
+integer numerators V_f divides s, since the fibre sum is the pushforward of
+an equivariant class, so `_fibre_sum` returns an integer, and a `Fraction`
+only when a p/q scalar leaves a remainder.  The tower folds from the top
+level down, and the base Grassmannian ends the fold the same way: each
 T_I = prod_{a in I, b not in I} (w_b - w_a) divides V = prod_{a<b}
 (w_b - w_a), so the total is sum_I (V // T_I) * F_I over V, where F_I is
-the numerator itself on a Grassmannian and the folded fibre sum on a tower.
-So one `Fraction` is formed per point below a fibre, and none is shared by
-all fixed points: a least common multiple accumulated over all of them is
-slower on a tower, where the fibre denominators never cancel.
+the numerator on a Grassmannian and the folded fibre sum on a tower.  An
+integer integrand thus forms one `Fraction` per weight vector, and no
+denominator is accumulated over the fixed points.
 
 This module deliberately shares no ring arithmetic with the symbolic Chow
 backend, so agreement between the two is a real cross-check.
@@ -135,7 +134,8 @@ def weight_search(seed: int, n: int) -> tuple[int, ...]:
 
 
 def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
-    """Isolated fixed points as records (subset, levels); see the module notes."""
+    """Isolated fixed points as records (subset, levels); see the module notes.
+    The records over one subset are contiguous, in `_chains` order."""
     if isinstance(space, Grassmannian):
         if len(weights) != space.n:
             raise ValueError(f"need {space.n} weights, got {len(weights)}")
@@ -144,77 +144,79 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
         return [(subset, ()) for subset in combinations(range(space.n), space.k)]
     fiber_at = bundle_weights(space.bundle, space.base)
     pts = []
-    for base_pt in fixed_points(space.base, weights):
-        fiber = tuple(fiber_at(base_pt, weights, {}))
-        if len(set(fiber)) != len(fiber):
-            raise WeightCollisionError(
-                f"fiber weights collide at base point {base_pt!r}: {sorted(fiber)}"
-            )
-        subset, levels = base_pt
-        pts.extend((subset, levels + ((fiber, idx),)) for idx in range(len(fiber)))
+    for _, below in groupby(fixed_points(space.base, weights), itemgetter(0)):
+        below = list(below)
+        for (subset, levels), fiber in zip(below, fiber_at(below, weights, {})):
+            fiber = tuple(fiber)
+            if len(set(fiber)) != len(fiber):
+                raise WeightCollisionError(
+                    f"fiber weights collide at base point {(subset, levels)!r}: {sorted(fiber)}"
+                )
+            pts.extend((subset, levels + ((fiber, idx),)) for idx in range(len(fiber)))
     return pts
 
 
 def bundle_weights(expr: BundleExpr, space: Space):
-    """Lift a bundle expression read on `space` to its weights at a fixed point.
+    """Lift a bundle expression read on `space` to its weights at a group.
 
-    Returns a function (pt, weights, memo) -> list, the equivariant weights
-    at the fixed point `pt` of `space`, in the order of `_character`.  `memo`
-    holds, for the points with this `subset`, the weights of the Sym nodes
-    met so far, keyed by (degree, argument weights), and the values of the
-    integrand's pulled-back nodes; see the module notes.  Its lists are
-    shared, so callers only read them.  A quotient is the top's weights at
-    the positions `_kept` gives, and is refused here if it has none.
+    Returns a function (pts, weights, memo) -> list: `pts` lists
+    `fixed_points` records sharing one subset, and the result one list of
+    equivariant weights per record, in the order of `_character`.  `memo`
+    holds the group's Sym weights, keyed by (degree, argument weights); see
+    the module notes.  The lists are shared, so callers only read them.  A
+    quotient is the top's weights at the positions `_kept` gives, and is
+    refused here if it has none.
     """
+    if isinstance(space, ProjBundle) and not mentions_rel(expr):
+        return _pulled_back(bundle_weights(expr, bottom_grassmannian(space)))
+    # the records of a group share their subset, so S and Q are read once
     if isinstance(expr, TautSub):
-        return lambda pt, weights, memo: [weights[a] for a in pt[0]]
+        return lambda pts, weights, memo: [[weights[a] for a in pts[0][0]]] * len(pts)
     if isinstance(expr, TautQuot):
-        return lambda pt, weights, memo: [
-            w for b, w in enumerate(weights) if b not in pt[0]
-        ]
+        return lambda pts, weights, memo: [_outside(weights, pts[0][0])] * len(pts)
     if isinstance(expr, Trivial):
         zeros = [0] * expr.rank
-        return lambda pt, weights, memo: zeros
+        return lambda pts, weights, memo: [zeros] * len(pts)
     if isinstance(expr, Dual):
         arg = bundle_weights(expr.arg, space)
-        return lambda pt, weights, memo: [-w for w in arg(pt, weights, memo)]
+        return lambda pts, weights, memo: [[-w for w in ws] for ws in arg(pts, weights, memo)]
     if isinstance(expr, Sym):
         degree, arg = expr.degree, bundle_weights(expr.arg, space)
 
-        def sym(pt, weights, memo):
-            ws = tuple(arg(pt, weights, memo))
-            key = (degree, ws)
+        def sym(ws, memo):
+            key = (degree, tuple(ws))
             if key not in memo:
-                memo[key] = _sym_weights(degree, ws)
+                memo[key] = _sym_weights(degree, key[1])
             return memo[key]
 
-        return sym
+        return lambda pts, weights, memo: [sym(ws, memo) for ws in arg(pts, weights, memo)]
     if isinstance(expr, TensorLine):
         arg, line = bundle_weights(expr.arg, space), bundle_weights(expr.line, space)
-
-        def tensor(pt, weights, memo):
-            (t,) = line(pt, weights, memo)
-            return [w + t for w in arg(pt, weights, memo)]
-
-        return tensor
+        return lambda pts, weights, memo: [
+            [w + t for w in ws]
+            for ws, (t,) in zip(arg(pts, weights, memo), line(pts, weights, memo))
+        ]
     if isinstance(expr, WhitneyQuotient):
         top = bundle_weights(expr.top, space)
         kept = {chain: _kept(expr, space, chain) for chain in _chains(space)}
-        return lambda pt, weights, memo: list(map(
-            top(pt, weights, memo).__getitem__, kept[tuple(i for _, i in pt[1])]
-        ))
+        return lambda pts, weights, memo: [
+            list(map(ws.__getitem__, kept[tuple(map(itemgetter(1), pt[1]))]))
+            for pt, ws in zip(pts, top(pts, weights, memo))
+        ]
     if isinstance(expr, RelO):
         if not isinstance(space, ProjBundle):
             raise InvalidBundleError("relative O(k) needs a projective bundle")
         twist = expr.twist
-
-        def rel_o(pt, weights, memo):
-            fiber, idx = pt[1][-1]
-            # the sub-line has the eigenvalue itself; O(k) is its (-k)-th power
-            return [-twist * fiber[idx]]
-
-        return rel_o
+        # the sub-line has the eigenvalue itself; O(k) is its (-k)-th power
+        return lambda pts, weights, memo: [
+            [-twist * fiber[idx]] for fiber, idx in (pt[1][-1] for pt in pts)
+        ]
     raise InvalidBundleError(f"not a bundle expression: {expr!r}")
+
+
+def _pulled_back(lifted):
+    """Read `lifted`, a lift on the bottom Grassmannian, once per group."""
+    return lambda pts, weights, memo: lifted([(pts[0][0], ())], weights, memo) * len(pts)
 
 
 def _chains(space: Space) -> list:
@@ -235,28 +237,23 @@ def _character(expr: BundleExpr, space: Space, chain: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _characters(expr: BundleExpr, space: Space) -> dict:
-    """`_character` at every chain of `space`.  The chains share one memo
-    per unit weight vector, which is exact because the memo keys hold the
-    weights, so each Sym node is built once per unit vector."""
-    lifted, n, out = bundle_weights(expr, space), bottom_grassmannian(space).n, {}
-    for j in range(n):
-        e, memo = (0,) * j + (1,) + (0,) * (n - 1 - j), {}
-        for chain in _chains(space):
-            out.setdefault(chain, []).append(lifted(_local_point(space, chain, e, memo), e, memo))
-    for chain, columns in out.items():
-        out[chain] = tuple(zip(*columns))
-    return out
-
-
-def _local_point(space: Space, chain: tuple, weights: tuple[int, ...], memo: dict) -> tuple:
-    """The record over the subset range(k) with the eigenlines `chain`,
-    built level by level as `fixed_points` does; `memo` as in
-    `bundle_weights`."""
-    if isinstance(space, Grassmannian):
-        return tuple(range(space.k)), ()
-    subset, levels = _local_point(space.base, chain[:-1], weights, memo)
-    fiber = tuple(bundle_weights(space.bundle, space.base)((subset, levels), weights, memo))
-    return subset, levels + ((fiber, chain[-1]),)
+    """`_character` at every chain of `space`: one group call per unit weight
+    vector, at the records over the subset range(k) built level by level as
+    `fixed_points` builds them.  Each Sym node is built once per unit vector,
+    as the group shares one memo."""
+    lifted, base, tower, columns = bundle_weights(expr, space), space, [], []
+    while isinstance(base, ProjBundle):
+        tower.insert(0, base)
+        base = base.base
+    for j in range(base.n):
+        e, memo = (0,) * j + (1,) + (0,) * (base.n - 1 - j), {}
+        pts = [(tuple(range(base.k)), ())]
+        for level in tower:
+            fibers = bundle_weights(level.bundle, level.base)(pts, e, memo)
+            pts = [(subset, levels + ((tuple(f), i),))
+                   for (subset, levels), f in zip(pts, fibers) for i in range(len(f))]
+        columns.append(lifted(pts, e, memo))
+    return {chain: tuple(zip(*column)) for chain, column in zip(_chains(space), zip(*columns))}
 
 
 def _kept(expr: WhitneyQuotient, space: Space, chain: tuple) -> tuple:
@@ -298,11 +295,19 @@ def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
     return out
 
 
+def _outside(weights, subset) -> list:
+    """The weights at the positions outside the increasing `subset`."""
+    out = list(weights)
+    for a in reversed(subset):
+        del out[a]
+    return out
+
+
 def tangent_weights(pt, weights) -> list:
     """Tangent weights at a fixed point: the base Grassmannian's, then each
     tower level's.  A record with no levels gives the base part alone."""
     subset, levels = pt
-    quot = [w for b, w in enumerate(weights) if b not in subset]
+    quot = _outside(weights, subset)
     out = [w - weights[a] for a in subset for w in quot]
     for fiber, idx in levels:
         out.extend(w - fiber[idx] for m, w in enumerate(fiber) if m != idx)
@@ -310,27 +315,17 @@ def tangent_weights(pt, weights) -> list:
 
 
 def evaluate_at(node: ex.ExprAst, space: Space):
-    """Lift an integrand on `space` to its value at a fixed point.
+    """Lift an integrand on `space` to its values at a group.
 
-    Returns a function (pt, weights, memo) -> int | Fraction; `memo` as in
-    `bundle_weights`.  `bott_integrate` runs `_check` first, and the walk
-    refuses an atom with no lift, so both happen before any fixed point is
-    built.  On a projective bundle a node that `_check` finds reads nothing
-    of the fibre is pulled back from the base: its value is kept in `memo`,
-    keyed by its own evaluator, and computed once per subset.
+    Returns a function (pts, weights, memo) -> list, one int or Fraction per
+    record; `pts` and `memo` as in `bundle_weights`.  `bott_integrate` runs
+    `_check` first, and the walk refuses an atom with no lift, so both
+    happen before any fixed point is built.  On a projective bundle a node
+    that `_check` finds reads no eigenline is read once per group.
     """
-    value = _lift(node, space)
-    if not isinstance(space, ProjBundle) or _check(node, space):
-        return value
-
-    def pulled_back(pt, weights, memo):
-        try:
-            return memo[value]
-        except KeyError:
-            memo[value] = out = value(pt, weights, memo)
-            return out
-
-    return pulled_back
+    if isinstance(space, ProjBundle) and not _check(node, space):
+        return _pulled_back(_lift(node, bottom_grassmannian(space)))
+    return _lift(node, space)
 
 
 def _check(node: ex.ExprAst, space: Space) -> bool:
@@ -358,48 +353,50 @@ def _lift(node: ex.ExprAst, space: Space):
     """The evaluator of `node` itself; its children are lifted by `evaluate_at`."""
     if isinstance(node, ex.Rational):
         value = node.value
-        return lambda pt, weights, memo: value
+        return lambda pts, weights, memo: [value] * len(pts)
     if isinstance(node, ex.Schubert):
         if node.parts == ():
-            return lambda pt, weights, memo: 1
+            return lambda pts, weights, memo: [1] * len(pts)
         quot = bundle_weights(TautQuot(), space)
         if node.parts == (1,):
-            return lambda pt, weights, memo: sum(quot(pt, weights, memo))
+            return lambda pts, weights, memo: list(map(sum, quot(pts, weights, memo)))
         lam = node.parts
         ell = len(lam)
 
-        def schubert(pt, weights, memo):
+        def schubert(ws):
             # Giambelli: sigma_lam = det(c_{lam_i + j - i}(Q)), c_k(Q) = e_k
             # of the quotient weights
-            ws = quot(pt, weights, memo)
             e = [elementary_symmetric(ws, k) for k in range(lam[0] + ell)]
             return _det([
                 [e[lam[i] + j - i] if lam[i] + j >= i else 0 for j in range(ell)]
                 for i in range(ell)
             ])
 
-        return schubert
+        return lambda pts, weights, memo: list(map(schubert, quot(pts, weights, memo)))
     if isinstance(node, ex.Zeta):
         # zeta is c1 of O(1)
         line = bundle_weights(RelO(1), space)
-        return lambda pt, weights, memo: line(pt, weights, memo)[0]
+        return lambda pts, weights, memo: [t for (t,) in line(pts, weights, memo)]
     if isinstance(node, ex.ChernClass):
         if node.index > rank(node.bundle, space):
-            return lambda pt, weights, memo: 0
-        index, ws = node.index, bundle_weights(node.bundle, space)
-        return lambda pt, weights, memo: elementary_symmetric(ws(pt, weights, memo), index)
+            return lambda pts, weights, memo: [0] * len(pts)
+        index, lifted = node.index, bundle_weights(node.bundle, space)
+        return lambda pts, weights, memo: [
+            elementary_symmetric(ws, index) for ws in lifted(pts, weights, memo)
+        ]
     if isinstance(node, ex.EulerClass):
-        ws = bundle_weights(node.bundle, space)
-        return lambda pt, weights, memo: prod(ws(pt, weights, memo))
+        lifted = bundle_weights(node.bundle, space)
+        return lambda pts, weights, memo: list(map(prod, lifted(pts, weights, memo)))
     if isinstance(node, ex.Power):
         base, exponent = evaluate_at(node.base, space), node.exponent
-        return lambda pt, weights, memo: base(pt, weights, memo) ** exponent
-    if isinstance(node, ex.Product):
-        factors = [evaluate_at(f, space) for f in node.factors]
-        return lambda pt, weights, memo: prod([f(pt, weights, memo) for f in factors])
-    if isinstance(node, ex.Sum):
-        terms = [evaluate_at(t, space) for t in node.terms]
-        return lambda pt, weights, memo: sum([t(pt, weights, memo) for t in terms])
+        return lambda pts, weights, memo: [v ** exponent for v in base(pts, weights, memo)]
+    if isinstance(node, (ex.Product, ex.Sum)):
+        product = isinstance(node, ex.Product)
+        fold, children = (prod, node.factors) if product else (sum, node.terms)
+        children = [evaluate_at(child, space) for child in children]
+        return lambda pts, weights, memo: list(map(
+            fold, zip(*[child(pts, weights, memo) for child in children])
+        ))
     raise TypeError(f"not an integrand expression: {node!r}")
 
 
@@ -426,11 +423,10 @@ def _integrate_once(space: Space, numerator, weights) -> Fraction:
     over the base Vandermonde V; see the module notes."""
     vandermonde = prod(wb - wa for wa, wb in combinations(weights, 2))
     total = 0
-    # points arrive grouped by subset; the memo holds one subset's values
+    # one group per subset, and one memo per group
     for subset, pts in groupby(fixed_points(space, weights), itemgetter(0)):
-        memo = {}
         pts = list(pts)
-        values = [numerator(pt, weights, memo) for pt in pts]
+        values = numerator(pts, weights, {})
         # fold the tower from the top: the r points over one point below
         # are contiguous, and sum to one value there
         for level in reversed(range(len(pts[0][1]))):
@@ -446,16 +442,18 @@ def _integrate_once(space: Space, numerator, weights) -> Fraction:
     return Fraction(total, vandermonde)
 
 
-def _fibre_sum(fiber, values) -> Fraction | int:
+def _fibre_sum(fiber, values):
     """sum_i values[i] / T_i over the eigenlines of one fibre, where
     T_i = prod_{m != i} (f_m - f_i) divides V_f = prod_{a<b} (f_b - f_a):
-    the integer sum_i (V_f // T_i) * values[i] over one `Fraction` by V_f."""
+    the sum s = sum_i (V_f // T_i) * values[i] divided by V_f, as an integer
+    when V_f divides s and as a `Fraction` otherwise."""
     v = prod(fb - fa for fa, fb in combinations(fiber, 2))
     s = sum([
         v // prod([fm - fi for fm in fiber if fm != fi]) * x
         for fi, x in zip(fiber, values) if x
     ])
-    return Fraction(s, v) if s else 0
+    q, rest = divmod(s, v)
+    return Fraction(s, v) if rest else q
 
 
 def bott_integrate(
