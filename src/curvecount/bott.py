@@ -31,16 +31,17 @@ the sum of its weights; any other sigma_lam is the Giambelli determinant
 det(c_{lam_i + j - i}(Q)), with c_k(Q) the k-th elementary symmetric
 function of the quotient weights.
 
-Each bundle node has a formal character (Ellingsrud-Stromme): its weights
-as integer vectors over local slots.  At the subset I of Gr(k, n), slot
-j < k is the j-th element of I and slot k + j the j-th of the complement,
-both increasing; a weight is its vector dotted with these local weights.
-Each rule of `bundle_weights`, the one rule set, is linear in the weights,
-so `_characters` reads the vectors off it at the unit weight vectors, once
-per (node, space), in one group call per unit vector at the records over the
-subset range(k).  A quotient's weights at a point are the top's at the
-positions `_kept` leaves for the chain of eigenline indices; a sub not
-contained in the top is refused at lift time.
+A quotient's weights at a point are the top's at the positions `_kept`
+leaves for the point's chain of eigenline indices, found once per (quotient,
+space) by comparing formal characters (Ellingsrud-Stromme): weights as
+integer vectors over local slots.  At the subset I of Gr(k, n), slot j < k
+is the j-th element of I and slot k + j the j-th of the complement, both
+increasing; a weight is its vector dotted with these local weights.  Each
+rule of `bundle_weights`, the one rule set, is linear in the weights, so
+`_kept` reads the vectors of top and sub off it at the unit weight vectors,
+in one group call each per unit vector at the records over the subset
+range(k), and removes the sub's vectors from the top's record by record; a
+sub not contained in the top is refused at lift time.
 
 On a projective bundle, a node that mentions neither zeta nor a relative
 O(k) has one value at every point over a subset, at any tower depth (the
@@ -135,7 +136,7 @@ def weight_search(seed: int, n: int) -> tuple[int, ...]:
 
 def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
     """Isolated fixed points as records (subset, levels); see the module notes.
-    The records over one subset are contiguous, in `_chains` order."""
+    The records over one subset are contiguous, eigenlines in lexicographic order."""
     if isinstance(space, Grassmannian):
         if len(weights) != space.n:
             raise ValueError(f"need {space.n} weights, got {len(weights)}")
@@ -161,7 +162,7 @@ def bundle_weights(expr: BundleExpr, space: Space):
 
     Returns a function (pts, weights, memo) -> list: `pts` lists
     `fixed_points` records sharing one subset, and the result one list of
-    equivariant weights per record, in the order of `_character`.  `memo`
+    equivariant weights per record, listed alike at all weights.  `memo`
     holds the group's Sym weights, keyed by (degree, argument weights); see
     the module notes.  The lists are shared, so callers only read them.  A
     quotient is the top's weights at the positions `_kept` gives, and is
@@ -197,8 +198,7 @@ def bundle_weights(expr: BundleExpr, space: Space):
             for ws, (t,) in zip(arg(pts, weights, memo), line(pts, weights, memo))
         ]
     if isinstance(expr, WhitneyQuotient):
-        top = bundle_weights(expr.top, space)
-        kept = {chain: _kept(expr, space, chain) for chain in _chains(space)}
+        top, kept = bundle_weights(expr.top, space), _kept(expr, space)
         return lambda pts, weights, memo: [
             list(map(ws.__getitem__, kept[tuple(map(itemgetter(1), pt[1]))]))
             for pt, ws in zip(pts, top(pts, weights, memo))
@@ -219,29 +219,15 @@ def _pulled_back(lifted):
     return lambda pts, weights, memo: lifted([(pts[0][0], ())], weights, memo) * len(pts)
 
 
-def _chains(space: Space) -> list:
-    """The local points of `space`: one eigenline index per tower level."""
-    if isinstance(space, Grassmannian):
-        return [()]
-    return [c + (i,) for c in _chains(space.base) for i in range(space.rank)]
-
-
-def _character(expr: BundleExpr, space: Space, chain: tuple) -> tuple:
-    """The weights of `expr` at the local point `chain` as integer vectors
-    over the local slots, in the order `bundle_weights` lists them: slot j
-    is the weight at the j-th unit weight vector over the subset range(k)."""
-    if isinstance(space, ProjBundle) and not mentions_rel(expr):
-        return _character(expr, space.base, chain[:-1])
-    return _characters(expr, space)[chain]
-
-
 @lru_cache(maxsize=None)
-def _characters(expr: BundleExpr, space: Space) -> dict:
-    """`_character` at every chain of `space`: one group call per unit weight
-    vector, at the records over the subset range(k) built level by level as
-    `fixed_points` builds them.  Each Sym node is built once per unit vector,
-    as the group shares one memo."""
-    lifted, base, tower, columns = bundle_weights(expr, space), space, [], []
+def _kept(expr: WhitneyQuotient, space: Space) -> dict:
+    """The positions in the top's weights that remain once each of the sub's
+    is removed, in the top's order, keyed by chain of eigenline indices.
+    Top and sub are read as characters (see the module notes) at the records
+    over the subset range(k), built level by level as `fixed_points` builds
+    them, with one memo per unit weight vector for them and the fibres."""
+    top, sub = bundle_weights(expr.top, space), bundle_weights(expr.sub, space)
+    base, tower, tops, subs = space, [], [], []
     while isinstance(base, ProjBundle):
         tower.insert(0, base)
         base = base.base
@@ -252,25 +238,23 @@ def _characters(expr: BundleExpr, space: Space) -> dict:
             fibers = bundle_weights(level.bundle, level.base)(pts, e, memo)
             pts = [(subset, levels + ((tuple(f), i),))
                    for (subset, levels), f in zip(pts, fibers) for i in range(len(f))]
-        columns.append(lifted(pts, e, memo))
-    return {chain: tuple(zip(*column)) for chain, column in zip(_chains(space), zip(*columns))}
-
-
-def _kept(expr: WhitneyQuotient, space: Space, chain: tuple) -> tuple:
-    """The positions in the top's character that remain once each vector of
-    the sub's is removed, in the top's order."""
-    left = Counter(_character(expr.sub, space, chain))
-    out = []
-    for i, v in enumerate(_character(expr.top, space, chain)):
-        if left[v]:
-            left[v] -= 1
-        else:
-            out.append(i)
-    if +left:
-        raise UnsupportedExpressionError(
-            "quotient weights are not contained in the ambient bundle"
-        )
-    return tuple(out)
+        tops.append(top(pts, e, memo))
+        subs.append(sub(pts, e, memo))
+    kept = {}
+    # at a record, a weight's character is its column over the unit vectors
+    for pt, ts, ss in zip(pts, zip(*tops), zip(*subs)):
+        left, out = Counter(zip(*ss)), []
+        for i, v in enumerate(zip(*ts)):
+            if left[v]:
+                left[v] -= 1
+            else:
+                out.append(i)
+        if +left:
+            raise UnsupportedExpressionError(
+                "quotient weights are not contained in the ambient bundle"
+            )
+        kept[tuple(map(itemgetter(1), pt[1]))] = tuple(out)
+    return kept
 
 
 def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
@@ -282,7 +266,7 @@ def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
     the last two weights, k = m[-1] and s the dot product of m with
     (ws[:-2], b).  So one dot product per vector m gives s and k, and a
     `range` fills the rest; a repeated weight (step 0) fills k + 1 copies of
-    s.  Each weight is linear in `ws`, as `_character` needs.
+    s.  Each weight is linear in `ws`, as `_kept` needs.
     """
     if len(ws) == 1:
         return [degree * ws[0]]
@@ -324,33 +308,7 @@ def evaluate_at(node: ex.ExprAst, space: Space):
     that `_check` finds reads no eigenline is read once per group.
     """
     if isinstance(space, ProjBundle) and not _check(node, space):
-        return _pulled_back(_lift(node, bottom_grassmannian(space)))
-    return _lift(node, space)
-
-
-def _check(node: ex.ExprAst, space: Space) -> bool:
-    """Refuse, in walk order as the symbolic engine does, zeta off a
-    projective bundle and every bundle `rank` rejects; quotients come later.
-    Return whether the node reads the top level's eigenline: zeta, or a
-    bundle that mentions the relative O(k)."""
-    if isinstance(node, ex.Zeta):
-        if not isinstance(space, ProjBundle):
-            raise UnsupportedExpressionError("zeta only lives on a projective bundle")
-        return True
-    if isinstance(node, (ex.ChernClass, ex.EulerClass)):
-        rank(node.bundle, space)
-        return mentions_rel(node.bundle)
-    if isinstance(node, ex.Power):
-        return _check(node.base, space)
-    if isinstance(node, (ex.Product, ex.Sum)):
-        children = node.factors if isinstance(node, ex.Product) else node.terms
-        # a list, not a generator: every child is checked
-        return any([_check(child, space) for child in children])
-    return False
-
-
-def _lift(node: ex.ExprAst, space: Space):
-    """The evaluator of `node` itself; its children are lifted by `evaluate_at`."""
+        return _pulled_back(evaluate_at(node, bottom_grassmannian(space)))
     if isinstance(node, ex.Rational):
         value = node.value
         return lambda pts, weights, memo: [value] * len(pts)
@@ -378,8 +336,7 @@ def _lift(node: ex.ExprAst, space: Space):
         line = bundle_weights(RelO(1), space)
         return lambda pts, weights, memo: [t for (t,) in line(pts, weights, memo)]
     if isinstance(node, ex.ChernClass):
-        if node.index > rank(node.bundle, space):
-            return lambda pts, weights, memo: [0] * len(pts)
+        # an index above the rank reads e_index of fewer weights, which is 0
         index, lifted = node.index, bundle_weights(node.bundle, space)
         return lambda pts, weights, memo: [
             elementary_symmetric(ws, index) for ws in lifted(pts, weights, memo)
@@ -398,6 +355,27 @@ def _lift(node: ex.ExprAst, space: Space):
             fold, zip(*[child(pts, weights, memo) for child in children])
         ))
     raise TypeError(f"not an integrand expression: {node!r}")
+
+
+def _check(node: ex.ExprAst, space: Space) -> bool:
+    """Refuse, in walk order as the symbolic engine does, zeta off a
+    projective bundle and every bundle `rank` rejects; quotients come later.
+    Return whether the node reads the top level's eigenline: zeta, or a
+    bundle that mentions the relative O(k)."""
+    if isinstance(node, ex.Zeta):
+        if not isinstance(space, ProjBundle):
+            raise UnsupportedExpressionError("zeta only lives on a projective bundle")
+        return True
+    if isinstance(node, (ex.ChernClass, ex.EulerClass)):
+        rank(node.bundle, space)
+        return mentions_rel(node.bundle)
+    if isinstance(node, ex.Power):
+        return _check(node.base, space)
+    if isinstance(node, (ex.Product, ex.Sum)):
+        children = node.factors if isinstance(node, ex.Product) else node.terms
+        # a list, not a generator: every child is checked
+        return any([_check(child, space) for child in children])
+    return False
 
 
 def _det(rows: list[list[int]]) -> int:

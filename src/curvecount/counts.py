@@ -142,7 +142,9 @@ class HypersurfaceProblem:
             if i >= 0:  # sigma_(i) vanishes for i < 0
                 f = [ex.rational(c)] * (c != 1) + [ex.Zeta()] * a
                 f += [ex.Schubert((i,))] * (i > 0)
+                f = f or [ex.rational(1)]
                 terms.append(f[0] if len(f) == 1 else ex.Product(tuple(f)))
+        terms = terms or [ex.rational(0)]
         return terms[0] if len(terms) == 1 else ex.Sum(tuple(terms))
 
     @property

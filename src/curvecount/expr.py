@@ -105,10 +105,20 @@ class Power:
 class Product:
     factors: tuple["ExprAst", ...]
 
+    def __post_init__(self):
+        # the text form has no empty product; 1 is `rational(1)`
+        if not self.factors:
+            raise ValueError("a product needs at least one factor")
+
 
 @dataclass(frozen=True)
 class Sum:
     terms: tuple["ExprAst", ...]
+
+    def __post_init__(self):
+        # the text form has no empty sum; 0 is `rational(0)`
+        if not self.terms:
+            raise ValueError("a sum needs at least one term")
 
 
 ExprAst = Rational | Schubert | Zeta | ChernClass | EulerClass | Power | Product | Sum

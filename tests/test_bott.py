@@ -379,7 +379,7 @@ def test_factors_pulled_back_from_the_base_are_evaluated_once_per_subset(
 
 def test_sym_weights_run_for_the_top_once_per_subset_and_never_for_the_sub(monkeypatch):
     # conics on the sextic fourfold: e(Sym^6 S* / Sym^4 S* (-1)); a first
-    # sum fills the lru cache of `_characters`, so the counted one below
+    # sum fills the lru cache of `_kept`, so the counted one below
     # sees the calls of the sum only, whatever ran before this test
     integrand = HypersurfaceProblem(5, 6, 2, 2).integrand
     assert bott_integrate(CONICS, integrand) == 440884080
@@ -399,7 +399,7 @@ def test_sym_weights_run_for_the_top_once_per_subset_and_never_for_the_sub(monke
 def test_a_sym_read_by_two_factors_is_built_once_per_subset(monkeypatch):
     # e(Sym^6 S* / Sym^4 S* (-1)) * c_1(Sym^6 S*) on the conic tower over
     # Gr(3,6): the obstruction's top and the separate factor read one memo
-    # entry per subset; a first sum fills the lru cache of `_characters`
+    # entry per subset; a first sum fills the lru cache of `_kept`
     integrand = ex.Product((
         ex.EulerClass(HypersurfaceProblem(5, 6, 2).obstruction),
         ex.ChernClass(1, Sym(6, Dual(TautSub()))),
@@ -420,10 +420,11 @@ def test_a_sym_read_by_two_factors_is_built_once_per_subset(monkeypatch):
 def test_cold_lift_builds_each_sym_once_per_subset_at_each_unit_vector(monkeypatch):
     # conics on P^14: e(Sym^20 S* / Sym^18 S* (-1)) over P(Sym^2 S*).  The
     # characters are read at the subset range(k) and the 15 unit weight
-    # vectors; the 6 eigenline chains share one memo per unit vector, so the
-    # top, the sub's Sym^18 and the fibre's Sym^2 are each built 15 times
+    # vectors; top, sub and the 6 eigenline chains share one memo per unit
+    # vector, so the top, the sub's Sym^18 and the fibre's Sym^2 are each
+    # built 15 times
     problem = HypersurfaceProblem(14, 20, 2)
-    bott._characters.cache_clear()
+    bott._kept.cache_clear()
     sym_weights, degrees = bott._sym_weights, []
 
     def counted(degree, ws):
@@ -463,6 +464,26 @@ def _subtrees(bundle):
 
 # a two-level tower whose upper bundle mentions no O(k), unlike NESTED's
 NESTED_PLAIN = ProjBundle(ProjBundle(GR24, Dual(TautSub())), TautQuot())
+
+
+def _character(node, space, chain):
+    # the weights of `node` at the local point `chain` as integer vectors
+    # over the local slots: slot j is the weight at the j-th unit weight
+    # vector, at the record over the subset range(k) whose eigenlines are
+    # `chain`, built one tower level at a time
+    base, tower = space, []
+    while isinstance(base, ProjBundle):
+        tower.insert(0, base)
+        base = base.base
+    lifted, columns = bundle_weights(node, space), []
+    for j in range(base.n):
+        e = tuple(int(i == j) for i in range(base.n))
+        pt = (tuple(range(base.k)), ())
+        for level, idx in zip(tower, chain):
+            (fiber,) = bundle_weights(level.bundle, level.base)([pt], e, {})
+            pt = (pt[0], pt[1] + ((tuple(fiber), idx),))
+        columns.extend(lifted([pt], e, {}))
+    return list(zip(*columns))
 
 
 @given(data=st.data())
@@ -506,23 +527,23 @@ def test_numeric_weights_are_the_character_dotted_with_the_local_weights(data):
             ]
             chain = tuple(idx for _, idx in levels)
             assert lifted([pt], weights, {}) == [[
-                sum(map(mul, v, local)) for v in bott._character(node, space, chain)
+                sum(map(mul, v, local)) for v in _character(node, space, chain)
             ]], (node, pt)
 
 
 # the towers whose bundle B mentions no O(k), so that B reads the same on
 # the tower as on its base; NESTED's S(1) would read the upper O(1)
 TOWERS = [ProjBundle(GR24, Dual(TautSub())), ProjBundle(Grassmannian(1, 3), Sym(2, TautQuot())),
-          CONICS]
+          CONICS, NESTED_PLAIN]
 
 
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_quotient_weights_are_the_top_less_the_sub(data):
     # read off the numeric weights alone, so the positions `_kept` picks are
-    # held to the multiset difference whatever `_character` returns: the
-    # quotients contained by construction, Sym^d B (-1) in Sym^(d+1) B, and
-    # the conic obstructions on P^4..P^6
+    # held to the multiset difference whatever characters it compares: the
+    # quotients contained by construction, Sym^d B (-1) in Sym^(d+1) B, on
+    # one- and two-level towers, and the conic obstructions on P^4..P^6
     space, bundle = data.draw(st.one_of(
         st.builds(lambda space, d: (space, WhitneyQuotient(
             Sym(d + 1, space.bundle), TensorLine(Sym(d, space.bundle), RelO(-1))

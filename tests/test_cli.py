@@ -106,6 +106,14 @@ def test_every_constructor_is_read_and_written():
         assert ex.parse(text, entry.sort) == node, text
 
 
+def test_empty_products_and_sums_are_refused():
+    # the text form cannot write them, so no node holds one
+    with pytest.raises(ValueError, match="at least one factor"):
+        ex.Product(())
+    with pytest.raises(ValueError, match="at least one term"):
+        ex.Sum(())
+
+
 def test_parse_whitespace_and_precedence():
     node = parse_expression(" s[2,1] + 2 * zeta ^ 3 ")
     assert node == ex.Sum(
@@ -242,6 +250,11 @@ def test_integrate_command(capsys):
                      {"num": "10241034384", "den": "1"}, id="sym-sym-gr37"),
         pytest.param("gr(2,9)", "c(8,sym(2,Q))*s[1]^6",
                      {"num": "394416", "den": "1"}, id="sym-Q-gr29"),
+        # Chern indices above the rank: e_4 of three weights is 0
+        pytest.param("gr(2,4)", "c(3,Q)*s[1]",
+                     {"num": "0", "den": "1"}, id="chern-index-above-rank"),
+        pytest.param("pbundle(sym(2,dual(S)),gr(3,6))", "c(4,tensor(Q,o(-1)))*zeta^10",
+                     {"num": "0", "den": "1"}, id="chern-index-above-rank-twisted"),
     ],
 )
 def test_integrate_both_backends_agree(capsys, space, expr, value):
@@ -454,9 +467,7 @@ def _refused_by_localization_alone(space, err):
     return isinstance(err, bott.WeightCollisionError) and isinstance(space, ProjBundle)
 
 
-@given(space_nodes(1).filter(lambda space: space.dim <= 8), expr_nodes(2))
-@settings(max_examples=200, deadline=None)
-def test_engines_agree_or_refuse_alike(space, node):
+def _agree_or_refuse_alike(space, node):
     # pad to the top degree with s[1], so that most integrands are not 0
     try:
         pad = space.dim - ex.degree(node, space)
@@ -473,6 +484,24 @@ def test_engines_agree_or_refuse_alike(space, node):
     else:
         assert type(symbolic) is type(localized) is Fraction
         assert symbolic == localized
+
+
+@given(space_nodes(1).filter(lambda space: space.dim <= 8), expr_nodes(2))
+@settings(max_examples=200, deadline=None)
+def test_engines_agree_or_refuse_alike(space, node):
+    _agree_or_refuse_alike(space, node)
+
+
+# a tower over a tower: quotients, twists and zeta read two eigenlines
+_TWO_LEVEL = st.builds(_tower, bundle_nodes(1), space_nodes(1).filter(
+    lambda space: isinstance(space, ProjBundle)
+))
+
+
+@given(_TWO_LEVEL.filter(lambda space: space is not None and space.dim <= 8), expr_nodes(2))
+@settings(max_examples=60, deadline=None)
+def test_engines_agree_or_refuse_alike_on_two_level_towers(space, node):
+    _agree_or_refuse_alike(space, node)
 
 
 def test_count_command(capsys):
@@ -535,6 +564,21 @@ def test_count_lines_with_incidence(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"]["num"] == "60480"
+
+
+@pytest.mark.parametrize("ambient, degree, value", [("3", "3", "27"), ("4", "5", "2875")])
+def test_count_lines_with_a_hyperplane_incidence(capsys, ambient, degree, value):
+    # a hyperplane meets every line, so the count is the plain one; the
+    # incidence class is the scalar 1, and both engines must agree on it
+    code, out, _ = _run(
+        capsys, "count", "lines", "--ambient", ambient, "--degree", degree,
+        "--incidence", "1", "--json",
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["value"] == {"num": value, "den": "1"}
+    assert rep["expr"].endswith("*1")
+    assert all(c["pass"] for c in rep["checks"])
 
 
 def test_gwdt_command(capsys):

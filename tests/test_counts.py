@@ -110,6 +110,21 @@ def test_classical_counts(backend):
     assert count_curves(HypersurfaceProblem(3, 3, 1), backend) == 27
     assert count_curves(HypersurfaceProblem(4, 5, 1), backend) == 2875
     assert count_curves(HypersurfaceProblem(4, 5, 2), backend) == 609250
+    # every line meets a hyperplane: the incidence class is the scalar 1
+    assert count_curves(HypersurfaceProblem(3, 3, 1, 1), backend) == 27
+    assert count_curves(HypersurfaceProblem(4, 5, 1, 1), backend) == 2875
+
+
+def test_every_count_integrand_is_read_back_from_its_text():
+    # a node the text form cannot write, such as an empty product, would
+    # fail here; the parser reads a one-factor product as its factor, so
+    # the round trip is checked for a parse only
+    for n in range(3, 6):
+        for curve_degree in counts.FAMILIES:
+            for degree in range(curve_degree, 8):
+                for k in range(n + 1):
+                    problem = HypersurfaceProblem(n, degree, curve_degree, k)
+                    assert ex.parse(ex.format_expr(problem.integrand)), problem
 
 
 @pytest.mark.parametrize("backend", ["symbolic", "bott"])
