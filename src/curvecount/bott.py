@@ -198,7 +198,7 @@ def bundle_weights(expr: BundleExpr, space: Space):
             for ws, (t,) in zip(arg(pts, weights, memo), line(pts, weights, memo))
         ]
     if isinstance(expr, WhitneyQuotient):
-        top, kept = bundle_weights(expr.top, space), _kept(expr, space)
+        top, kept = _kept(expr, space)
         return lambda pts, weights, memo: [
             list(map(ws.__getitem__, kept[tuple(map(itemgetter(1), pt[1]))]))
             for pt, ws in zip(pts, top(pts, weights, memo))
@@ -220,9 +220,9 @@ def _pulled_back(lifted):
 
 
 @lru_cache(maxsize=None)
-def _kept(expr: WhitneyQuotient, space: Space) -> dict:
-    """The positions in the top's weights that remain once each of the sub's
-    is removed, in the top's order, keyed by chain of eigenline indices.
+def _kept(expr: WhitneyQuotient, space: Space) -> tuple:
+    """The top's lift, and the positions left in its weights once the sub's
+    are removed, in the top's order, keyed by chain of eigenline indices.
     Top and sub are read as characters (see the module notes) at the records
     over the subset range(k), built level by level as `fixed_points` builds
     them, with one memo per unit weight vector for them and the fibres."""
@@ -254,7 +254,7 @@ def _kept(expr: WhitneyQuotient, space: Space) -> dict:
                 "quotient weights are not contained in the ambient bundle"
             )
         kept[tuple(map(itemgetter(1), pt[1]))] = tuple(out)
-    return kept
+    return top, kept
 
 
 def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:
@@ -336,7 +336,9 @@ def evaluate_at(node: ex.ExprAst, space: Space):
         line = bundle_weights(RelO(1), space)
         return lambda pts, weights, memo: [t for (t,) in line(pts, weights, memo)]
     if isinstance(node, ex.ChernClass):
-        # an index above the rank reads e_index of fewer weights, which is 0
+        # not lifted: a quotient outside its top has no lift, yet this is 0
+        if node.index > rank(node.bundle, space):
+            return lambda pts, weights, memo: [0] * len(pts)
         index, lifted = node.index, bundle_weights(node.bundle, space)
         return lambda pts, weights, memo: [
             elementary_symmetric(ws, index) for ws in lifted(pts, weights, memo)
