@@ -20,14 +20,14 @@ The integrand is lifted once per `bott_integrate` call, after one walk,
 unsupported expression, not a wrong answer), and every bundle `rank`
 rejects, in walk order as the symbolic engine does.  `evaluate_at` and
 `bundle_weights` walk the expression once and return group evaluators,
-functions of (pts, weights, memo) that take the records over one subset and
-return one value or weight list per record.  They refuse an atom with no
-lift, so a refusal comes before any fixed point is built.  `fixed_points`
-lifts each tower level's bundle the same way, so every weight comes from one
-path.  Supported atoms are rational constants, Schubert classes, zeta
-(lifted as minus the weight of the chosen eigenline), and Chern or Euler
-factors of bundle expressions.  sigma_1 is c1 of the tautological quotient,
-the sum of its weights; any other sigma_lam is the Giambelli determinant
+functions of (pts, weights) that take the records over one subset and return
+one value or weight list per record.  They refuse an atom with no lift, so a
+refusal comes before any fixed point is built.  `fixed_points` lifts each
+tower level's bundle the same way, so every weight comes from one path.
+Supported atoms are rational constants, Schubert classes, zeta (lifted as
+minus the weight of the chosen eigenline), and Chern or Euler factors of
+bundle expressions.  sigma_1 is c1 of the tautological quotient, the sum of
+its weights; any other sigma_lam is the Giambelli determinant
 det(c_{lam_i + j - i}(Q)), with c_k(Q) the k-th elementary symmetric
 function of the quotient weights.
 
@@ -48,14 +48,13 @@ O(k) has one value at every point over a subset, at any tower depth (the
 projection formula, localized).  That is decided once, at the lift: such a
 node, say c_3(Q) or the conic obstruction's Sym^6 S*, is lifted on the
 bottom Grassmannian, evaluated once per group and its value repeated for
-every record.  `_integrate_once` passes one memo per group, which the
-evaluators read at a Sym node, keyed by (degree, argument weights), so a
-Sym is built once per subset however many nodes read it, and a Sym of a
-twisted argument such as S(1) stays right at every eigenline.  Sym weights
-are built by `_sym_weights`, one dot product per exponent vector of all but
-the last two argument weights and one arithmetic progression in those two,
-so Sym^20 S* (231 weights at each conic point of P^14) takes 21 dot
-products.
+every record.  That is the only work a group shares: a Sym that mentions no
+relative O(k) is pulled back, so each node that reads it builds it once per
+subset, and a Sym of a twisted argument such as S(1) is built at every
+eigenline, where it stays right.  Sym weights are built by `_sym_weights`,
+one dot product per exponent vector of all but the last two argument
+weights and one arithmetic progression in those two, so Sym^20 S* (231
+weights at each conic point of P^14) takes 21 dot products.
 
 The integral is the exact rational sum over fixed points of (numerator
 weights) / (product of tangent weights).  Numerators are plain integers,
@@ -147,7 +146,7 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
     pts = []
     for _, below in groupby(fixed_points(space.base, weights), itemgetter(0)):
         below = list(below)
-        for (subset, levels), fiber in zip(below, fiber_at(below, weights, {})):
+        for (subset, levels), fiber in zip(below, fiber_at(below, weights)):
             fiber = tuple(fiber)
             if len(set(fiber)) != len(fiber):
                 raise WeightCollisionError(
@@ -160,55 +159,46 @@ def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
 def bundle_weights(expr: BundleExpr, space: Space):
     """Lift a bundle expression read on `space` to its weights at a group.
 
-    Returns a function (pts, weights, memo) -> list: `pts` lists
-    `fixed_points` records sharing one subset, and the result one list of
-    equivariant weights per record, listed alike at all weights.  `memo`
-    holds the group's Sym weights, keyed by (degree, argument weights); see
-    the module notes.  The lists are shared, so callers only read them.  A
-    quotient is the top's weights at the positions `_kept` gives, and is
-    refused here if it has none.
+    Returns a function (pts, weights) -> list: `pts` lists `fixed_points`
+    records sharing one subset, and the result one list of equivariant
+    weights per record, listed alike at all weights.  The lists are shared,
+    so callers only read them.  A quotient is the top's weights at the
+    positions `_kept` gives, and is refused here if it has none.
     """
     if isinstance(space, ProjBundle) and not mentions_rel(expr):
         return _pulled_back(bundle_weights(expr, bottom_grassmannian(space)))
     # the records of a group share their subset, so S and Q are read once
     if isinstance(expr, TautSub):
-        return lambda pts, weights, memo: [[weights[a] for a in pts[0][0]]] * len(pts)
+        return lambda pts, weights: [[weights[a] for a in pts[0][0]]] * len(pts)
     if isinstance(expr, TautQuot):
-        return lambda pts, weights, memo: [_outside(weights, pts[0][0])] * len(pts)
+        return lambda pts, weights: [_outside(weights, pts[0][0])] * len(pts)
     if isinstance(expr, Trivial):
         zeros = [0] * expr.rank
-        return lambda pts, weights, memo: [zeros] * len(pts)
+        return lambda pts, weights: [zeros] * len(pts)
     if isinstance(expr, Dual):
         arg = bundle_weights(expr.arg, space)
-        return lambda pts, weights, memo: [[-w for w in ws] for ws in arg(pts, weights, memo)]
+        return lambda pts, weights: [[-w for w in ws] for ws in arg(pts, weights)]
     if isinstance(expr, Sym):
         degree, arg = expr.degree, bundle_weights(expr.arg, space)
-
-        def sym(ws, memo):
-            key = (degree, tuple(ws))
-            if key not in memo:
-                memo[key] = _sym_weights(degree, key[1])
-            return memo[key]
-
-        return lambda pts, weights, memo: [sym(ws, memo) for ws in arg(pts, weights, memo)]
+        return lambda pts, weights: [_sym_weights(degree, tuple(ws)) for ws in arg(pts, weights)]
     if isinstance(expr, TensorLine):
         arg, line = bundle_weights(expr.arg, space), bundle_weights(expr.line, space)
-        return lambda pts, weights, memo: [
+        return lambda pts, weights: [
             [w + t for w in ws]
-            for ws, (t,) in zip(arg(pts, weights, memo), line(pts, weights, memo))
+            for ws, (t,) in zip(arg(pts, weights), line(pts, weights))
         ]
     if isinstance(expr, WhitneyQuotient):
         top, kept = _kept(expr, space)
-        return lambda pts, weights, memo: [
+        return lambda pts, weights: [
             list(map(ws.__getitem__, kept[tuple(map(itemgetter(1), pt[1]))]))
-            for pt, ws in zip(pts, top(pts, weights, memo))
+            for pt, ws in zip(pts, top(pts, weights))
         ]
     if isinstance(expr, RelO):
         if not isinstance(space, ProjBundle):
             raise InvalidBundleError("relative O(k) needs a projective bundle")
         twist = expr.twist
         # the sub-line has the eigenvalue itself; O(k) is its (-k)-th power
-        return lambda pts, weights, memo: [
+        return lambda pts, weights: [
             [-twist * fiber[idx]] for fiber, idx in (pt[1][-1] for pt in pts)
         ]
     raise InvalidBundleError(f"not a bundle expression: {expr!r}")
@@ -216,7 +206,7 @@ def bundle_weights(expr: BundleExpr, space: Space):
 
 def _pulled_back(lifted):
     """Read `lifted`, a lift on the bottom Grassmannian, once per group."""
-    return lambda pts, weights, memo: lifted([(pts[0][0], ())], weights, memo) * len(pts)
+    return lambda pts, weights: lifted([(pts[0][0], ())], weights) * len(pts)
 
 
 @lru_cache(maxsize=None)
@@ -225,21 +215,21 @@ def _kept(expr: WhitneyQuotient, space: Space) -> tuple:
     are removed, in the top's order, keyed by chain of eigenline indices.
     Top and sub are read as characters (see the module notes) at the records
     over the subset range(k), built level by level as `fixed_points` builds
-    them, with one memo per unit weight vector for them and the fibres."""
+    them, at each unit weight vector."""
     top, sub = bundle_weights(expr.top, space), bundle_weights(expr.sub, space)
     base, tower, tops, subs = space, [], [], []
     while isinstance(base, ProjBundle):
         tower.insert(0, base)
         base = base.base
     for j in range(base.n):
-        e, memo = (0,) * j + (1,) + (0,) * (base.n - 1 - j), {}
+        e = (0,) * j + (1,) + (0,) * (base.n - 1 - j)
         pts = [(tuple(range(base.k)), ())]
         for level in tower:
-            fibers = bundle_weights(level.bundle, level.base)(pts, e, memo)
+            fibers = bundle_weights(level.bundle, level.base)(pts, e)
             pts = [(subset, levels + ((tuple(f), i),))
                    for (subset, levels), f in zip(pts, fibers) for i in range(len(f))]
-        tops.append(top(pts, e, memo))
-        subs.append(sub(pts, e, memo))
+        tops.append(top(pts, e))
+        subs.append(sub(pts, e))
     kept = {}
     # at a record, a weight's character is its column over the unit vectors
     for pt, ts, ss in zip(pts, zip(*tops), zip(*subs)):
@@ -301,8 +291,8 @@ def tangent_weights(pt, weights) -> list:
 def evaluate_at(node: ex.ExprAst, space: Space):
     """Lift an integrand on `space` to its values at a group.
 
-    Returns a function (pts, weights, memo) -> list, one int or Fraction per
-    record; `pts` and `memo` as in `bundle_weights`.  `bott_integrate` runs
+    Returns a function (pts, weights) -> list, one int or Fraction per
+    record; `pts` as in `bundle_weights`.  `bott_integrate` runs
     `_check` first, and the walk refuses an atom with no lift, so both
     happen before any fixed point is built.  On a projective bundle a node
     that `_check` finds reads no eigenline is read once per group.
@@ -311,13 +301,13 @@ def evaluate_at(node: ex.ExprAst, space: Space):
         return _pulled_back(evaluate_at(node, bottom_grassmannian(space)))
     if isinstance(node, ex.Rational):
         value = node.value
-        return lambda pts, weights, memo: [value] * len(pts)
+        return lambda pts, weights: [value] * len(pts)
     if isinstance(node, ex.Schubert):
         if node.parts == ():
-            return lambda pts, weights, memo: [1] * len(pts)
+            return lambda pts, weights: [1] * len(pts)
         quot = bundle_weights(TautQuot(), space)
         if node.parts == (1,):
-            return lambda pts, weights, memo: list(map(sum, quot(pts, weights, memo)))
+            return lambda pts, weights: list(map(sum, quot(pts, weights)))
         lam = node.parts
         ell = len(lam)
 
@@ -330,31 +320,31 @@ def evaluate_at(node: ex.ExprAst, space: Space):
                 for i in range(ell)
             ])
 
-        return lambda pts, weights, memo: list(map(schubert, quot(pts, weights, memo)))
+        return lambda pts, weights: list(map(schubert, quot(pts, weights)))
     if isinstance(node, ex.Zeta):
         # zeta is c1 of O(1)
         line = bundle_weights(RelO(1), space)
-        return lambda pts, weights, memo: [t for (t,) in line(pts, weights, memo)]
+        return lambda pts, weights: [t for (t,) in line(pts, weights)]
     if isinstance(node, ex.ChernClass):
         # not lifted: a quotient outside its top has no lift, yet this is 0
         if node.index > rank(node.bundle, space):
-            return lambda pts, weights, memo: [0] * len(pts)
+            return lambda pts, weights: [0] * len(pts)
         index, lifted = node.index, bundle_weights(node.bundle, space)
-        return lambda pts, weights, memo: [
-            elementary_symmetric(ws, index) for ws in lifted(pts, weights, memo)
+        return lambda pts, weights: [
+            elementary_symmetric(ws, index) for ws in lifted(pts, weights)
         ]
     if isinstance(node, ex.EulerClass):
         lifted = bundle_weights(node.bundle, space)
-        return lambda pts, weights, memo: list(map(prod, lifted(pts, weights, memo)))
+        return lambda pts, weights: list(map(prod, lifted(pts, weights)))
     if isinstance(node, ex.Power):
         base, exponent = evaluate_at(node.base, space), node.exponent
-        return lambda pts, weights, memo: [v ** exponent for v in base(pts, weights, memo)]
+        return lambda pts, weights: [v ** exponent for v in base(pts, weights)]
     if isinstance(node, (ex.Product, ex.Sum)):
         product = isinstance(node, ex.Product)
         fold, children = (prod, node.factors) if product else (sum, node.terms)
         children = [evaluate_at(child, space) for child in children]
-        return lambda pts, weights, memo: list(map(
-            fold, zip(*[child(pts, weights, memo) for child in children])
+        return lambda pts, weights: list(map(
+            fold, zip(*[child(pts, weights) for child in children])
         ))
     raise TypeError(f"not an integrand expression: {node!r}")
 
@@ -403,10 +393,10 @@ def _integrate_once(space: Space, numerator, weights) -> Fraction:
     over the base Vandermonde V; see the module notes."""
     vandermonde = prod(wb - wa for wa, wb in combinations(weights, 2))
     total = 0
-    # one group per subset, and one memo per group
+    # one group per subset
     for subset, pts in groupby(fixed_points(space, weights), itemgetter(0)):
         pts = list(pts)
-        values = numerator(pts, weights, {})
+        values = numerator(pts, weights)
         # fold the tower from the top: the r points over one point below
         # are contiguous, and sum to one value there
         for level in reversed(range(len(pts[0][1]))):

@@ -122,8 +122,6 @@ def _horizontal_strips(
                 rec(j + 1, rem - a, used + a)
         grown[j] = shape[j]
 
-    if size == 0:
-        return ((shape, (0,) * rows),)
     if rows:
         rec(0, size, 0)
     return tuple(out)

@@ -53,6 +53,10 @@ def test_weight_search_ladder_and_determinism():
     assert len(set(w)) == 6
     assert all(x >= 1 for x in w)
     assert weight_search(3, 6) != weight_search(4, 6)
+    with pytest.raises(ValueError):
+        weight_search(-1, 3)
+    with pytest.raises(ValueError):
+        weight_search(0, 0)
 
 
 def test_fixed_points_of_grassmannian():
@@ -94,13 +98,11 @@ def test_sym_weights_are_the_sorted_exponent_dot_products(r):
     for d, order in enumerate(orders):
         assert sorted(order) == sorted(sym_power_roots(d, r))
     for arg, weights in cases:
-        (ws,) = bundle_weights(arg, space)([pt], weights, {})
+        (ws,) = bundle_weights(arg, space)([pt], weights)
         ws = tuple(ws)
         for d, order in enumerate(orders):
-            memo = {}
-            (got,) = bundle_weights(Sym(d, arg), space)([pt], weights, memo)
+            (got,) = bundle_weights(Sym(d, arg), space)([pt], weights)
             assert got == [sum(map(mul, m, ws)) for m in order]
-            assert memo == {(d, ws): got}
 
 
 def test_ladder_weights_collide_on_the_conic_tower():
@@ -270,6 +272,9 @@ def test_explicit_weights_must_match_the_ambient_space():
         bott_integrate(GR24, S1_4, weights=(1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         bott_integrate(GR24, S1_4, weights=(1, 2, 3))
+    # equal ambient weights leave the fixed points non-isolated
+    with pytest.raises(WeightCollisionError):
+        bott_integrate(GR24, S1_4, weights=(1, 1, 2, 3))
 
 
 # conics in P^5 with a point of their plane: the upper bundle S(1) reads
@@ -327,7 +332,7 @@ def test_sum_equals_the_literal_per_point_sum(space, integrand, data):
         return
     at = bott.evaluate_at(integrand, space)
     literal = sum(
-        Fraction(at([pt], weights, {})[0]) / prod(tangent_weights(pt, weights)) for pt in pts
+        Fraction(at([pt], weights)[0]) / prod(tangent_weights(pt, weights)) for pt in pts
     )
     assert bott_integrate(space, integrand, weights=weights) == literal
 
@@ -396,10 +401,11 @@ def test_sym_weights_run_for_the_top_once_per_subset_and_never_for_the_sub(monke
     assert 4 not in degrees
 
 
-def test_a_sym_read_by_two_factors_is_built_once_per_subset(monkeypatch):
+def test_each_factor_builds_its_sym_once_per_subset(monkeypatch):
     # e(Sym^6 S* / Sym^4 S* (-1)) * c_1(Sym^6 S*) on the conic tower over
-    # Gr(3,6): the obstruction's top and the separate factor read one memo
-    # entry per subset; a first sum fills the lru cache of `_kept`
+    # Gr(3,6): the obstruction's top and the separate factor are pulled back
+    # from the base, so each builds its Sym^6 once per subset, not once per
+    # eigenline; a first sum fills the lru cache of `_kept`
     integrand = ex.Product((
         ex.EulerClass(HypersurfaceProblem(5, 6, 2).obstruction),
         ex.ChernClass(1, Sym(6, Dual(TautSub()))),
@@ -414,15 +420,16 @@ def test_a_sym_read_by_two_factors_is_built_once_per_subset(monkeypatch):
 
     monkeypatch.setattr(bott, "_sym_weights", counted)
     assert bott_integrate(CONICS, integrand) == value
-    assert degrees.count(6) == 2 * comb(6, 3)
+    # 2 factors at 2 admissible seeds, 20 subsets each
+    assert degrees.count(6) == 4 * comb(6, 3)
 
 
 def test_cold_lift_builds_each_sym_once_per_subset_at_each_unit_vector(monkeypatch):
     # conics on P^14: e(Sym^20 S* / Sym^18 S* (-1)) over P(Sym^2 S*).  The
     # characters are read at the subset range(k) and the 15 unit weight
-    # vectors; top, sub and the 6 eigenline chains share one memo per unit
-    # vector, so the top, the sub's Sym^18 and the fibre's Sym^2 are each
-    # built 15 times
+    # vectors; no Sym there mentions the relative O(k), so each is pulled
+    # back and built once per unit vector: the top, the sub's Sym^18 and the
+    # fibre's Sym^2 are each built 15 times
     problem = HypersurfaceProblem(14, 20, 2)
     bott._kept.cache_clear()
     sym_weights, degrees = bott._sym_weights, []
@@ -480,9 +487,9 @@ def _character(node, space, chain):
         e = tuple(int(i == j) for i in range(base.n))
         pt = (tuple(range(base.k)), ())
         for level, idx in zip(tower, chain):
-            (fiber,) = bundle_weights(level.bundle, level.base)([pt], e, {})
+            (fiber,) = bundle_weights(level.bundle, level.base)([pt], e)
             pt = (pt[0], pt[1] + ((tuple(fiber), idx),))
-        columns.extend(lifted([pt], e, {}))
+        columns.extend(lifted([pt], e))
     return list(zip(*columns))
 
 
@@ -526,7 +533,7 @@ def test_numeric_weights_are_the_character_dotted_with_the_local_weights(data):
                 w for b, w in enumerate(weights) if b not in subset
             ]
             chain = tuple(idx for _, idx in levels)
-            assert lifted([pt], weights, {}) == [[
+            assert lifted([pt], weights) == [[
                 sum(map(mul, v, local)) for v in _character(node, space, chain)
             ]], (node, pt)
 
@@ -561,7 +568,7 @@ def test_quotient_weights_are_the_top_less_the_sub(data):
         assume(False)
     quot, top, sub = (bundle_weights(b, space) for b in (bundle, bundle.top, bundle.sub))
     for pt in pts:
-        (q,), (s,), (t,) = (b([pt], weights, {}) for b in (quot, sub, top))
+        (q,), (s,), (t,) = (b([pt], weights) for b in (quot, sub, top))
         assert Counter(q) + Counter(s) == Counter(t), (bundle, pt)
 
 
@@ -627,6 +634,6 @@ def test_a_group_evaluates_as_each_of_its_records_alone(data):
     for _, group in groupby(pts, itemgetter(0)):
         group = list(group)
         for lifted in lifts:
-            assert lifted(group, weights, {}) == [
-                lifted([pt], weights, {})[0] for pt in group
+            assert lifted(group, weights) == [
+                lifted([pt], weights)[0] for pt in group
             ], (integrand, bundle, group[0])

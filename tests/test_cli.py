@@ -168,6 +168,18 @@ def test_syntax_errors_carry_positions():
         parse_expression("zeta zeta")
     with pytest.raises(ExprSyntaxError):
         parse_space("gr(2 6)")
+    for parse, text, position, message in (
+        (parse_expression, "s[x]", 2, "expected an integer, found 'x'"),
+        (parse_expression, "s[1]^x", 5, "exponent must be an integer"),
+        (parse_expression, "1/x", 2, "denominator must be an integer"),
+        (parse_expression, "foo", 0, "unexpected token 'foo'"),
+        (parse_space, "S", 0, "unexpected space 'S'"),
+        (parse_expression, "c(1,gr(2,4))", 4, "unexpected bundle 'gr'"),
+    ):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert str(err.value) == f"syntax error at position {position}: {message}"
 
 
 def _run(capsys, *argv):
@@ -559,6 +571,8 @@ def test_count_refusals_name_the_problem(capsys):
     code, _, err = _run(capsys, "count", "lines", "--ambient", "5", "--degree", "6",
                         "--incidence", "6")
     assert (code, err) == (3, "error: insertion codimension must be between 0 and 5\n")
+    code, _, err = _run(capsys, "count", "lines", "--ambient", "3", "--degree", "0")
+    assert (code, err) == (3, "error: hypersurface degree must be positive\n")
 
 
 def test_count_lines_with_incidence(capsys):
