@@ -31,30 +31,35 @@ its weights; any other sigma_lam is the Giambelli determinant
 det(c_{lam_i + j - i}(Q)), with c_k(Q) the k-th elementary symmetric
 function of the quotient weights.
 
-A quotient's weights at a point are the top's at the positions `_kept`
-leaves for the point's chain of eigenline indices, found once per (quotient,
-space) by comparing formal characters (Ellingsrud-Stromme): weights as
-integer vectors over local slots.  At the subset I of Gr(k, n), slot j < k
-is the j-th element of I and slot k + j the j-th of the complement, both
-increasing; a weight is its vector dotted with these local weights.  Each
-rule of `bundle_weights`, the one rule set, is linear in the weights, so
-`_kept` reads the vectors of top and sub off it at the unit weight vectors,
-in one group call each per unit vector at the records over the subset
-range(k), and removes the sub's vectors from the top's record by record; a
-sub not contained in the top is refused at lift time.
+A quotient's weights come from formal characters (Ellingsrud-Stromme):
+weights as integer vectors over local slots.  At the subset I of Gr(k, n),
+slot j < k is the j-th element of I and slot k + j the j-th of the
+complement, both increasing; a weight is its vector dotted with these local
+weights.  Each rule of `bundle_weights`, the one rule set, is linear in the
+weights, so `_kept` reads the vectors of top and sub off it at the unit
+weight vectors, in one group call each per unit vector at the records over
+the subset range(k), and removes the sub's vectors from the top's for each
+chain of eigenline indices, once per (quotient, space); a sub not contained
+in the top is refused at lift time.  The kept vectors of every chain are
+packed as one integer per slot, 64 bits per vector, so at a subset one dot
+product of those integers with the local weights gives every chain's
+weights, each a signed 64-bit field of the result; when a field could
+overflow, only with huge explicit weights, the vectors are dotted one by
+one.  So the top is read only at the unit vectors, and neither top nor sub
+is built at a fixed point.
 
 On a projective bundle, a node that mentions neither zeta nor a relative
 O(k) has one value at every point over a subset, at any tower depth (the
 projection formula, localized).  That is decided once, at the lift: such a
-node, say c_3(Q) or the conic obstruction's Sym^6 S*, is lifted on the
-bottom Grassmannian, evaluated once per group and its value repeated for
-every record.  That is the only work a group shares: a Sym that mentions no
-relative O(k) is pulled back, so each node that reads it builds it once per
-subset, and a Sym of a twisted argument such as S(1) is built at every
-eigenline, where it stays right.  Sym weights are built by `_sym_weights`,
-one dot product per exponent vector of all but the last two argument
-weights and one arithmetic progression in those two, so Sym^20 S* (231
-weights at each conic point of P^14) takes 21 dot products.
+node, say c_3(Q) or c_1(Sym^6 S*), is lifted on the bottom Grassmannian,
+evaluated once per group and its value repeated for every record.  That is
+the only work a group shares: a Sym that mentions no relative O(k) is
+pulled back, so each node that reads it builds it once per subset, and a
+Sym of a twisted argument such as S(1) is built at every eigenline, where
+it stays right.  Sym weights are built by `_sym_weights`, one dot product
+per exponent vector of all but the last two argument weights and one
+arithmetic progression in those two, so Sym^20 S* (231 weights) takes 21
+dot products.
 
 The integral is the exact rational sum over fixed points of (numerator
 weights) / (product of tangent weights).  Numerators are plain integers,
@@ -80,6 +85,7 @@ backend, so agreement between the two is a real cross-check.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -162,8 +168,9 @@ def bundle_weights(expr: BundleExpr, space: Space):
     Returns a function (pts, weights) -> list: `pts` lists `fixed_points`
     records sharing one subset, and the result one list of equivariant
     weights per record, listed alike at all weights.  The lists are shared,
-    so callers only read them.  A quotient is the top's weights at the
-    positions `_kept` gives, and is refused here if it has none.
+    so callers only read them.  A quotient's weights are its kept
+    characters, packed by `_kept`, dotted with the local weights; it is
+    refused here if its sub is not contained in its top.
     """
     if isinstance(space, ProjBundle) and not mentions_rel(expr):
         return _pulled_back(bundle_weights(expr, bottom_grassmannian(space)))
@@ -188,11 +195,23 @@ def bundle_weights(expr: BundleExpr, space: Space):
             for ws, (t,) in zip(arg(pts, weights), line(pts, weights))
         ]
     if isinstance(expr, WhitneyQuotient):
-        top, kept = _kept(expr, space)
-        return lambda pts, weights: [
-            list(map(ws.__getitem__, kept[tuple(map(itemgetter(1), pt[1]))]))
-            for pt, ws in zip(pts, top(pts, weights))
-        ]
+        rows, spans, columns, mask, bound = _kept(expr, space)
+
+        def quotient(pts, weights):
+            subset = pts[0][0]
+            local = [weights[a] for a in subset] + _outside(weights, subset)
+            if bound * max(map(abs, local)) < 1 << 63:
+                # each row's weight w is the 64-bit field w + 2^63, which
+                # neither carries nor borrows; the xor reads it as signed
+                x = mask + sum([column * local[s] for s, column in columns])
+                ws = memoryview(
+                    (x ^ mask).to_bytes(8 * len(rows), sys.byteorder)
+                ).cast("q").tolist()
+            else:
+                ws = [sum(map(mul, row, local)) for row in rows]
+            return [ws[spans[tuple(map(itemgetter(1), pt[1]))]] for pt in pts]
+
+        return quotient
     if isinstance(expr, RelO):
         if not isinstance(space, ProjBundle):
             raise InvalidBundleError("relative O(k) needs a projective bundle")
@@ -211,11 +230,20 @@ def _pulled_back(lifted):
 
 @lru_cache(maxsize=None)
 def _kept(expr: WhitneyQuotient, space: Space) -> tuple:
-    """The top's lift, and the positions left in its weights once the sub's
-    are removed, in the top's order, keyed by chain of eigenline indices.
-    Top and sub are read as characters (see the module notes) at the records
-    over the subset range(k), built level by level as `fixed_points` builds
-    them, at each unit weight vector."""
+    """A quotient's kept characters, read once per (quotient, space).
+
+    Returns (rows, spans, columns, mask, bound).  `rows` are the characters
+    left in the top's once the sub's are removed, in the top's order, as
+    vectors over the local slots (see the module notes), one run per chain
+    of eigenline indices, and `spans` maps each chain to its run's slice.
+    The rows are packed: `columns` holds (slot, column) for each nonzero
+    slot, the column an integer with row r at bits 64r..64r+63; `mask` sets
+    bit 63 of every row; and no row's dot product with the local weights
+    exceeds `bound` = sum_s max |column_s| times their largest absolute
+    value.  Top and sub are read at the records over the subset range(k),
+    built level by level as `fixed_points` builds them, at each unit weight
+    vector.
+    """
     top, sub = bundle_weights(expr.top, space), bundle_weights(expr.sub, space)
     base, tower, tops, subs = space, [], [], []
     while isinstance(base, ProjBundle):
@@ -230,21 +258,27 @@ def _kept(expr: WhitneyQuotient, space: Space) -> tuple:
                    for (subset, levels), f in zip(pts, fibers) for i in range(len(f))]
         tops.append(top(pts, e))
         subs.append(sub(pts, e))
-    kept = {}
+    rows, spans = [], {}
     # at a record, a weight's character is its column over the unit vectors
     for pt, ts, ss in zip(pts, zip(*tops), zip(*subs)):
-        left, out = Counter(zip(*ss)), []
-        for i, v in enumerate(zip(*ts)):
+        left, start = Counter(zip(*ss)), len(rows)
+        for v in zip(*ts):
             if left[v]:
                 left[v] -= 1
             else:
-                out.append(i)
+                rows.append(v)
         if +left:
             raise UnsupportedExpressionError(
                 "quotient weights are not contained in the ambient bundle"
             )
-        kept[tuple(map(itemgetter(1), pt[1]))] = tuple(out)
-    return top, kept
+        spans[tuple(map(itemgetter(1), pt[1]))] = slice(start, len(rows))
+    columns, bound = [], 0
+    for s, column in enumerate(zip(*rows)):
+        if any(column):
+            columns.append((s, sum(c << 64 * r for r, c in enumerate(column))))
+            bound += max(map(abs, column))
+    mask = sum(1 << 64 * r + 63 for r in range(len(rows)))
+    return rows, spans, columns, mask, bound
 
 
 def _sym_weights(degree: int, ws: tuple[int, ...]) -> list:

@@ -395,17 +395,20 @@ def test_sym_weights_run_for_the_top_once_per_subset_and_never_for_the_sub(monke
         return sym_weights(degree, ws)
 
     monkeypatch.setattr(bott, "_sym_weights", counted)
-    # the fibre Sym^2 S* is built once per point below, at every seed tried
+    # the fibre Sym^2 S* is built once per point below, at every seed tried;
+    # the quotient's weights are its kept characters dotted with the local
+    # weights, so neither the top nor the sub is built at a fixed point
     assert bott_integrate(CONICS, integrand) == 440884080
-    assert degrees.count(6) == 2 * comb(6, 3)
+    assert degrees.count(6) == 0
     assert 4 not in degrees
 
 
 def test_each_factor_builds_its_sym_once_per_subset(monkeypatch):
     # e(Sym^6 S* / Sym^4 S* (-1)) * c_1(Sym^6 S*) on the conic tower over
-    # Gr(3,6): the obstruction's top and the separate factor are pulled back
-    # from the base, so each builds its Sym^6 once per subset, not once per
-    # eigenline; a first sum fills the lru cache of `_kept`
+    # Gr(3,6): the separate factor is pulled back from the base, so it builds
+    # its Sym^6 once per subset, not once per eigenline, and the obstruction
+    # reads its kept characters without building its top; a first sum fills
+    # the lru cache of `_kept`
     integrand = ex.Product((
         ex.EulerClass(HypersurfaceProblem(5, 6, 2).obstruction),
         ex.ChernClass(1, Sym(6, Dual(TautSub()))),
@@ -420,8 +423,8 @@ def test_each_factor_builds_its_sym_once_per_subset(monkeypatch):
 
     monkeypatch.setattr(bott, "_sym_weights", counted)
     assert bott_integrate(CONICS, integrand) == value
-    # 2 factors at 2 admissible seeds, 20 subsets each
-    assert degrees.count(6) == 4 * comb(6, 3)
+    # 1 factor at 2 admissible seeds, 20 subsets each
+    assert degrees.count(6) == 2 * comb(6, 3)
 
 
 def test_cold_lift_builds_each_sym_once_per_subset_at_each_unit_vector(monkeypatch):
@@ -441,6 +444,40 @@ def test_cold_lift_builds_each_sym_once_per_subset_at_each_unit_vector(monkeypat
     monkeypatch.setattr(bott, "_sym_weights", counted)
     bundle_weights(problem.obstruction, problem.space)
     assert Counter(degrees) == {20: 15, 18: 15, 2: 15}
+
+
+SEXTIC = HypersurfaceProblem(5, 6, 2, 2)
+# the slot bound of the sextic's obstruction: its kept characters are
+# exponent vectors of Sym^6 S*, so each of the 3 subset slots reaches 6
+SLOT_BOUND = 18
+
+
+@pytest.mark.parametrize("largest", [
+    10**4,
+    # packed while bound * largest is just under 2^63, row by row just past
+    (1 << 63) // SLOT_BOUND,
+    (1 << 63) // SLOT_BOUND + 1,
+    # the largest kept weight, 6 * largest, just inside int64 and past it
+    ((1 << 63) - 1) // 6,
+    (1 << 63) // 6 + 1,
+], ids=["small", "packed", "past-slot-bound", "kept-fits-int64", "kept-past-int64"])
+def test_sextic_count_is_exact_on_each_side_of_the_slot_bound(largest):
+    assert bott._kept(SEXTIC.obstruction, CONICS)[-1] == SLOT_BOUND
+    # weights of mixed sign, so the kept weights run from -6 * largest to
+    # 6 * largest; their pair sums are distinct, so every fibre is admissible
+    weights = tuple((-1) ** i * (largest - o) for i, o in enumerate((0, 1, 3, 7, 12, 20)))
+    assert bott_integrate(CONICS, SEXTIC.integrand, weights) == 440884080
+
+
+@pytest.mark.parametrize("w", [(1 << 63) - 1, 1 << 63, -(1 << 63) + 1, -(1 << 63)])
+def test_a_kept_weight_that_meets_the_slot_bound_reads_exactly(w):
+    # on P^1, Q / 0 keeps one character, (0, 1), whose slot bound 1 is met:
+    # its weight w fills a 64-bit slot to the edge while |w| < 2^63, and is
+    # read row by row from 2^63 on; the integral of c_1(Q) is 1 either way
+    quotient = WhitneyQuotient(TautQuot(), Trivial(0))
+    assert bott._kept(quotient, Grassmannian(1, 2))[-1] == 1
+    assert bott_integrate(Grassmannian(1, 2), ex.EulerClass(quotient), (0, w)) == 1
+    assert bundle_weights(quotient, Grassmannian(1, 2))([((0,), ())], (0, w)) == [[w]]
 
 
 def _bundles(space, depth):
@@ -547,7 +584,7 @@ TOWERS = [ProjBundle(GR24, Dual(TautSub())), ProjBundle(Grassmannian(1, 3), Sym(
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_quotient_weights_are_the_top_less_the_sub(data):
-    # read off the numeric weights alone, so the positions `_kept` picks are
+    # read off the numeric weights alone, so the characters `_kept` keeps are
     # held to the multiset difference whatever characters it compares: the
     # quotients contained by construction, Sym^d B (-1) in Sym^(d+1) B, on
     # one- and two-level towers, and the conic obstructions on P^4..P^6
