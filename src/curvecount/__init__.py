@@ -1,4 +1,4 @@
-"""Exact enumerative geometry for lines and conics on hypersurfaces.
+"""Exact enumerative geometry for lines and plane curves on hypersurfaces.
 
 Two independent engines integrate over the same intersection rings: a
 symbolic one, by Littlewood-Richardson products of Schubert classes and

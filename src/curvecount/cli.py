@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--json", action="store_true")
     p_int.set_defaults(func=_cmd_integrate)
 
-    p_count = sub.add_parser("count", help="count lines or conics on a hypersurface")
+    p_count = sub.add_parser("count", help="count lines, conics or plane cubics on a hypersurface")
     p_count.add_argument("kind", choices=[f.name for f in counts.FAMILIES.values()])
     p_count.add_argument("--ambient", type=int, required=True,
                          help="dimension n of the ambient projective space")

@@ -1,13 +1,18 @@
-"""Counting lines and conics on generic projective hypersurfaces.
+"""Counting lines and plane curves on generic projective hypersurfaces.
 
-A degree-d hypersurface in P^n is cut by a section of Sym^d of the dual
-tautological bundle on the relevant parameter space.  Each curve family is
-one entry of `FAMILIES`, keyed by curve degree:
+A degree-m hypersurface in P^n is cut by a section of Sym^m of the dual
+tautological bundle on the relevant parameter space.  There are two kinds of
+curve family:
 
-- lines: Gr(2, n+1), obstruction bundle Sym^d(S*);
-- conics: the P(Sym^2 S*) bundle over Gr(3, n+1), whose points are a plane
-  together with a conic in it, with obstruction bundle
-  Sym^d(S*) / (O(-1) ox Sym^(d-2)(S*)) of rank 2d + 1.
+- lines: Gr(2, n+1), obstruction bundle Sym^m(S*);
+- plane curves of degree e >= 2, each built by `plane_curves`: the
+  P(Sym^e S*) bundle over Gr(3, n+1), whose points are a plane together
+  with a curve of degree e in it, with obstruction bundle
+  Sym^m(S*) / (O(-1) ox Sym^(m-e)(S*)) when m >= e, and all of Sym^m(S*)
+  when m < e, since the curve's ideal has no forms below degree e.
+
+Conics are the case e = 2 and plane cubics, of arithmetic genus one, the
+case e = 3.  `FAMILIES` holds the families the command line names.
 
 A `HypersurfaceProblem` reads its moduli space, obstruction and integrand
 off its family.  The count is the integral of the Euler class of the
@@ -20,9 +25,9 @@ with the same pushforward taken in the Chow ring.
 
 Counts are computed by the symbolic Schubert backend or by fixed-point
 localization; the two share no arithmetic, and the test suite insists they
-agree.  No correction is applied along the locus of degenerate conics (line
-pairs and double lines); the dimension ledger states this assumption
-explicitly.
+agree.  No correction is applied along the locus of degenerate curves (for
+conics, line pairs and double lines); the dimension ledger states this
+assumption explicitly.
 """
 
 from __future__ import annotations
@@ -54,46 +59,59 @@ class DegreeMismatchError(ValueError):
 
 
 class CurveFamily(NamedTuple):
-    """The geometry of one kind of rational curve in P^n."""
+    """The geometry of one kind of curve in P^n."""
 
     name: str  # as the command line spells it
     space: Callable[[int], Space]  # the moduli of the curves in P^n, from n
-    obstruction: Callable[[int], bundles.BundleExpr]  # sections of O(d) on a curve
+    obstruction: Callable[[int], bundles.BundleExpr]  # sections of O(m) on a curve
     # the universal curve [C] in P(S) over the moduli, as the terms (c, a, b)
     # of sum c * zeta_M^a * h^b, where zeta_M is the relative hyperplane class
     # of the moduli and h the hyperplane class of the point
     curve: tuple[tuple[int, int, int], ...]
 
 
+def _forms(m: int) -> bundles.BundleExpr:
+    """Degree-m forms on the plane or line, Sym^m S*.  Sym^1 S* is built as
+    S* itself, the node that the text form `sym(1,dual(S))` reads back to."""
+    return Dual(TautSub()) if m == 1 else Sym(m, Dual(TautSub()))
+
+
+def plane_curves(e: int, name: str) -> CurveFamily:
+    """The plane curves of degree e >= 2 in P^n: a plane and a curve in it."""
+    return CurveFamily(
+        name,
+        lambda n: ProjBundle(Grassmannian(3, n + 1), _forms(e)),
+        # degree-m forms on the plane modulo the ideal of the curve, which
+        # has no forms below degree e
+        lambda m: _forms(m) if m < e else WhitneyQuotient(
+            _forms(m), TensorLine(_forms(m - e), RelO(-1))
+        ),
+        # the zero locus of the curve's equation at the point, a section of
+        # O_fiber(1) ox O_point(e)
+        ((1, 1, 0), (e, 0, 1)),
+    )
+
+
+# the families the command line names, keyed by curve degree
 FAMILIES = {
     1: CurveFamily(
         "lines",
         lambda n: Grassmannian(2, n + 1),
-        lambda d: Sym(d, Dual(TautSub())),
+        _forms,
         # the universal line is all of P(S)
         ((1, 0, 0),),
     ),
-    2: CurveFamily(
-        "conics",
-        # a plane of P^n and a conic in it
-        lambda n: ProjBundle(Grassmannian(3, n + 1), Sym(2, Dual(TautSub()))),
-        # degree-d forms on the plane modulo the ideal of the conic
-        lambda d: WhitneyQuotient(
-            Sym(d, Dual(TautSub())),
-            TensorLine(Sym(d - 2, Dual(TautSub())), RelO(-1)),
-        ),
-        # the zero locus of the conic's equation at the point, a section of
-        # O_fiber(1) ox O_point(2)
-        ((1, 1, 0), (2, 0, 1)),
-    ),
+    2: plane_curves(2, "conics"),
+    3: plane_curves(3, "cubics"),
 }
 
 
 @dataclass(frozen=True)
 class HypersurfaceProblem:
     """A counting problem: degree-`degree` hypersurfaces in P^`ambient_dim`,
-    rational curves of degree `curve_degree`, cut by a codimension
-    `insertion_codim` linear space (0 means no incidence condition)."""
+    lines (`curve_degree` 1) or plane curves of degree `curve_degree`, cut
+    by a codimension `insertion_codim` linear space (0 means no incidence
+    condition)."""
 
     ambient_dim: int
     degree: int
@@ -103,23 +121,23 @@ class HypersurfaceProblem:
     def __post_init__(self):
         if self.ambient_dim < 2:
             raise ValueError("ambient projective space must have dimension >= 2")
-        if self.curve_degree not in FAMILIES:
-            raise ValueError("only lines and conics are supported")
+        if self.curve_degree < 1:
+            raise ValueError("curve degree must be positive")
         if not 0 <= self.insertion_codim <= self.ambient_dim:
             raise ValueError(
                 f"insertion codimension must be between 0 and {self.ambient_dim}"
             )
-        if self.curve_degree == 2 and self.degree < 2:
-            raise ValueError("conic problems need hypersurface degree >= 2")
-        if self.curve_degree == 2 and self.ambient_dim < 3:
-            # conics are parametrized over the planes Gr(3, n+1), which needs n >= 3
-            raise ValueError("conic problems need ambient dimension >= 3")
+        if self.curve_degree >= 2 and self.ambient_dim < 3:
+            # plane curves are parametrized over the planes Gr(3, n+1), which
+            # needs n >= 3
+            raise ValueError("plane curve problems need ambient dimension >= 3")
         if self.degree < 1:
             raise ValueError("hypersurface degree must be positive")
 
     @property
     def family(self) -> CurveFamily:
-        return FAMILIES[self.curve_degree]
+        e = self.curve_degree
+        return FAMILIES.get(e) or plane_curves(e, f"plane curves of degree {e}")
 
     @property
     def space(self) -> Space:
@@ -150,8 +168,8 @@ class HypersurfaceProblem:
     @property
     def integrand(self) -> ex.ExprAst:
         """e(obstruction), times the incidence class when there is an insertion."""
-        euler = (ex.EulerClass(self.obstruction),)
-        return ex.Product(euler + (self.incidence,) if self.insertion_codim else euler)
+        euler = ex.EulerClass(self.obstruction)
+        return ex.Product((euler, self.incidence)) if self.insertion_codim else euler
 
 
 # the families' spaces and bundles under their own names, read by bench/child.py

@@ -547,6 +547,8 @@ def test_count_command(capsys):
          "e(sym(6,dual(S)))*s[1]"),
         ("conics --ambient 5 --degree 6 --incidence 2", "pbundle(sym(2,dual(S)),gr(3,6))",
          "e(quot(sym(6,dual(S)),tensor(sym(4,dual(S)),o(-1))))*(zeta + 2*s[1])"),
+        ("cubics --ambient 5 --degree 6", "pbundle(sym(3,dual(S)),gr(3,6))",
+         "e(quot(sym(6,dual(S)),tensor(sym(3,dual(S)),o(-1))))"),
     ],
 )
 def test_count_json_names_the_space_and_integrand(capsys, argv, space, expr):
@@ -557,10 +559,10 @@ def test_count_json_names_the_space_and_integrand(capsys, argv, space, expr):
 
 
 def test_count_refusals_name_the_problem(capsys):
-    # conics are parametrized over Gr(3, n+1), so P^2 is refused by the problem
+    # plane curves are parametrized over Gr(3, n+1), so P^2 is refused by the problem
     code, _, err = _run(capsys, "count", "conics", "--ambient", "2", "--degree", "2")
     assert code == 3
-    assert err == "error: conic problems need ambient dimension >= 3\n"
+    assert err == "error: plane curve problems need ambient dimension >= 3\n"
     code, _, err = _run(capsys, "count", "conics", "--ambient", "3", "--degree", "2")
     assert code == 3
     assert err == (

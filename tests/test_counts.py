@@ -29,14 +29,16 @@ from curvecount.counts import (
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        HypersurfaceProblem(4, 5, 3)
+        HypersurfaceProblem(4, 5, 0)
     # the insertion is a linear subspace of P^n: codimension 0 to n
     with pytest.raises(ValueError):
         HypersurfaceProblem(4, 5, 1, 5)
     with pytest.raises(ValueError):
         HypersurfaceProblem(4, 5, 1, -1)
-    with pytest.raises(ValueError):
-        HypersurfaceProblem(4, 1, 2)
+    # a hyperplane holds no conic on its own: the curve's ideal has no
+    # linear form, so the obstruction is all of S* and the degree falls short
+    with pytest.raises(DegreeMismatchError):
+        count_curves(HypersurfaceProblem(4, 1, 2))
     with pytest.raises(ValueError):
         HypersurfaceProblem(1, 5, 1)
 
@@ -56,10 +58,10 @@ def test_obstruction_ranks_balance_dimensions():
     assert bundles.rank(sextic, conic_space(5)) == conic_space(5).dim - 1
 
 
-@pytest.mark.parametrize("curve_degree", [1, 2])
+@pytest.mark.parametrize("curve_degree", [1, 2, 3])
 def test_incidence_matches_universal_curve_pushforward(curve_degree):
     # the derived tree, the Chow-ring pushforward and the literal class agree
-    literal = ex.parse("s[1]" if curve_degree == 1 else "zeta + 2*s[1]")
+    literal = ex.parse("s[1]" if curve_degree == 1 else f"zeta + {curve_degree}*s[1]")
     for n in range(3, 9):
         problem = HypersurfaceProblem(n, 6, curve_degree, 2)
         assert problem.incidence == literal
@@ -97,7 +99,7 @@ def test_incidence_is_built_without_ring_arithmetic(monkeypatch):
         assert HypersurfaceProblem(5, 6, curve_degree, 2).incidence
 
 
-@pytest.mark.parametrize("curve_degree,expected", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("curve_degree,expected", [(1, 1), (2, 2), (3, 3)])
 def test_universal_curve_has_the_right_fiber_degree(curve_degree, expected):
     # [C] * h pushes down to the degree of the curve times the unit
     for p in (HypersurfaceProblem(5, 6, curve_degree), HypersurfaceProblem(4, 6, curve_degree)):
@@ -116,15 +118,36 @@ def test_classical_counts(backend):
 
 
 def test_every_count_integrand_is_read_back_from_its_text():
-    # a node the text form cannot write, such as an empty product, would
-    # fail here; the parser reads a one-factor product as its factor, so
-    # the round trip is checked for a parse only
+    # the text of a count is the node both engines integrate: a one-factor
+    # product or a Sym^1, which the parser reads as its factor or argument,
+    # would fail here
     for n in range(3, 6):
-        for curve_degree in counts.FAMILIES:
-            for degree in range(curve_degree, 8):
+        for curve_degree in range(1, 5):
+            for degree in range(1, 8):
                 for k in range(n + 1):
                     problem = HypersurfaceProblem(n, degree, curve_degree, k)
-                    assert ex.parse(ex.format_expr(problem.integrand)), problem
+                    node = problem.integrand
+                    assert ex.parse(ex.format_expr(node)) == node, problem
+
+
+@pytest.mark.parametrize("backend", ["symbolic", "bott"])
+@pytest.mark.parametrize(
+    "ambient,degree,curve_degree,value",
+    [
+        # conics and plane cubics on the quintic, n_{1,3} = 609250
+        (4, 5, 2, 609250),
+        # plane cubics and quartics on the septic fivefold
+        (6, 7, 3, 26123172457235),
+        # plane cubics on the sextic fourfold, each its own residual
+        (5, 6, 3, 2734099200),
+    ],
+    ids=["quintic", "septic", "sextic"],
+)
+def test_residual_plane_curves_count_alike(ambient, degree, curve_degree, value, backend):
+    # a plane meets X in a plane curve of degree m, so a plane curve of
+    # degree e on X leaves a residual of degree m - e in the same plane
+    for e in (curve_degree, degree - curve_degree):
+        assert count_curves(HypersurfaceProblem(ambient, degree, e), backend) == value
 
 
 @pytest.mark.parametrize("backend", ["symbolic", "bott"])
