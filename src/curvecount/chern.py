@@ -22,11 +22,12 @@ s(E) = 1 / c(E) for sign = -1, with one rule per constructor:
   box-bounded, and each s_lam of the argument is a class of the space.
   When the argument is S, Q or a dual of either, s_lam is read off by
   Giambelli as a signed Schubert class, s_lam(S*) = sigma_lam and
-  s_lam(Q) = sigma_lam', with (-1)^|lam| per dual, so the class is one
-  linear combination and needs no ring product; the expansion then stops at
-  the box of the bottom Grassmannian, lam_1 <= n - k for S and S* and
-  lam_1 <= k for Q and Q*, outside which the Schubert class is zero.  Any
-  other argument builds s_lam by the Pieri rule from the complete classes
+  s_lam(Q) = sigma_lam', with (-1)^|lam| per dual, so each degree's class
+  is written as one dict of Schubert coefficients, with no class built per
+  partition and no ring product; the expansion then stops at the box of
+  the bottom Grassmannian, lam_1 <= n - k for S and S* and lam_1 <= k for
+  Q and Q*, outside which the Schubert class is zero.  Any other argument
+  builds s_lam by the Pieri rule from the complete classes
   h_j = (-1)^j s_j, s_j its Segre classes, with no box.
 
 Only symmetric powers and quotients take the inverse series for their
@@ -40,9 +41,9 @@ product per slot.  Tower slots stay unreduced, so a power of
 l = c1(O(k)) = k * zeta is one slot shifted, and the twist's series takes no
 Schubert product.  Classes above the dimension of the space are zero: they
 are not computed, and the Chern tuple is padded with zero classes up to the
-rank.  Each class is built as one `chow.sum_of_products`, and the tower
-relation is never applied.  The walk is cached per (expression, space,
-sign).
+rank.  Each class other than a Giambelli `Sym` class is built as one
+`chow.sum_of_products`, and the tower relation is never applied.  The walk
+is cached per (expression, space, sign).
 """
 
 from __future__ import annotations
@@ -142,34 +143,35 @@ def _classes(expr: BundleExpr, space: Space, sign: int) -> tuple[ChowElement, ..
 
 def _sym_classes(expr: Sym, space: Space) -> tuple[ChowElement, ...]:
     r, ra = bundles.rank(expr, space), bundles.rank(expr.arg, space)
-    cols, schur = _schur_classes(expr.arg, space, min(space.dim, r))
-    coeffs = symfunc.expand_linear_product(expr.degree, ra, space.dim, cols)
-    by_weight: list[list] = [[] for _ in range(r + 1)]
-    for lam, c in coeffs.items():
-        sign, x = schur(lam)
-        by_weight[symfunc.weight(lam)].append((sign * c, x, None))
-    return tuple(chow.sum_of_products(space, terms) for terms in by_weight)
-
-
-def _schur_classes(arg: BundleExpr, space: Space, top: int):
-    """(cols, schur): schur(lam) = (sign, x) with s_lam(arg) = sign * x, for
-    |lam| <= top.  When cols is not None, s_lam(arg) is zero for lam_1 > cols."""
-    inner, duals = arg, 0
+    inner, duals = expr.arg, 0
     while isinstance(inner, Dual):
         inner, duals = inner.arg, duals + 1
     if isinstance(inner, (TautSub, TautQuot)):
         # Giambelli: s_lam(S*) = sigma_lam and s_lam(Q) = sigma_lam', and
         # s_lam(E*) = (-1)^|lam| s_lam(E); S is the dual of S*.  A Schubert
         # class outside the k x (n - k) box is zero, so lam_1 <= n - k for
-        # S and S*, and lam_1 <= k for Q and Q*
-        g = bundles.bottom_grassmannian(space)
+        # S and S*, and lam_1 <= k for Q and Q*.  A Sym of S or Q never
+        # mentions O(k), so `_classes` evaluates it on the bottom
+        # Grassmannian, and each degree is one dict of Schubert coefficients
         transpose = isinstance(inner, TautQuot)
         duals += not transpose
-        return g.k if transpose else g.n - g.k, lambda lam: (
-            (-1) ** (duals * symfunc.weight(lam)),
-            chow.sigma(space, symfunc.conjugate(lam) if transpose else lam),
-        )
+        cols = space.rows if transpose else space.cols
+        by_weight: list[dict] = [{} for _ in range(r + 1)]
+        for lam, c in symfunc.expand_linear_product(expr.degree, ra, space.dim, cols).items():
+            w = symfunc.weight(lam)
+            by_weight[w][symfunc.conjugate(lam) if transpose else lam] = (-1) ** (duals * w) * c
+        return tuple(ChowElement(space, d) for d in by_weight)
+    schur = _schur_classes(expr.arg, space, min(space.dim, r))
+    terms: list[list] = [[] for _ in range(r + 1)]
+    for lam, c in symfunc.expand_linear_product(expr.degree, ra, space.dim).items():
+        terms[symfunc.weight(lam)].append((c, schur(lam), None))
+    return tuple(chow.sum_of_products(space, t) for t in terms)
 
+
+def _schur_classes(arg: BundleExpr, space: Space, top: int):
+    """s(lam) = s_lam(arg) for |lam| <= top, by the Pieri rule from the
+    complete classes.  S, Q and their duals never come here: `_sym_classes`
+    writes each degree of theirs as one dict of Schubert coefficients."""
     h = [(-1) ** j * sj for j, sj in enumerate(segre_classes(arg, space, top))]
     schur = {symfunc.partition([j]): hj for j, hj in enumerate(h)}
 
@@ -186,7 +188,7 @@ def _schur_classes(arg: BundleExpr, space: Space, top: int):
             )
         return schur[lam]
 
-    return None, lambda lam: (1, s(lam))
+    return s
 
 
 def _twist_classes(
