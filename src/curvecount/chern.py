@@ -26,14 +26,19 @@ s(E) = 1 / c(E) for sign = -1, with one rule per constructor:
   is written as one dict of Schubert coefficients, with no class built per
   partition and no ring product; the expansion then stops at the box of
   the bottom Grassmannian, lam_1 <= n - k for S and S* and lam_1 <= k for
-  Q and Q*, outside which the Schubert class is zero.  Any other argument
-  builds s_lam by the Pieri rule from the complete classes
-  h_j = (-1)^j s_j, s_j its Segre classes, with no box.
+  Q and Q*, outside which the Schubert class is zero.  The Segre classes
+  of such a `Sym` come the same way off
+  `symfunc.expand_linear_product_inverse`, which expands
+  prod_m (1 + m.x)^(-1) one packed integer per degree, and its Euler class
+  off `symfunc.expand_linear_product_top`, the product of the forms alone,
+  zero when the rank exceeds the dimension.  Any other argument builds
+  s_lam by the Pieri rule from the complete classes h_j = (-1)^j s_j, s_j
+  its Segre classes, with no box.
 
-Only symmetric powers and quotients take the inverse series for their
-Segre classes, s_k = -sum_{i>=1} c_i s_(k-i).  A quotient must: when the
-sub is not contained in the top, the quotient is virtual, its Chern classes
-stop at its rank, and s(top) c(sub) is not their inverse.
+Only the other symmetric powers and quotients take the inverse series for
+their Segre classes, s_k = -sum_{i>=1} c_i s_(k-i).  A quotient must: when
+the sub is not contained in the top, the quotient is virtual, its Chern
+classes stop at its rank, and s(top) c(sub) is not their inverse.
 
 On a tower the twist's x_i and the quotient's c(top) are mostly pulled-back
 classes, and a pulled-back class times a tower element costs one base
@@ -85,13 +90,22 @@ def segre_classes(expr: BundleExpr, space: Space, up_to: int) -> tuple[ChowEleme
 
 
 def euler_class(expr: BundleExpr, space: Space) -> ChowElement:
-    """Top Chern class; of a quotient, only that class is built."""
-    if not isinstance(expr, WhitneyQuotient):
+    """Top Chern class; of a quotient or a Giambelli `Sym`, only that class
+    is built."""
+    g = isinstance(expr, Sym) and _giambelli(expr.arg, space)
+    if not (g or isinstance(expr, WhitneyQuotient)):
         return chern_classes(expr, space)[-1]
-    rq = bundles.rank(expr, space)
-    if rq > space.dim:
+    if g and isinstance(space, ProjBundle):
+        # a Sym of S or Q never mentions O(k)
+        return chow.pullback(space, euler_class(expr, space.base))
+    r = bundles.rank(expr, space)
+    if r > space.dim:
         return chow.zero(space)
-    return _product_part(_classes(expr.top, space, 1), _classes(expr.sub, space, -1), rq, space)
+    if g:
+        # the top degree of the root product alone
+        schur = symfunc.expand_linear_product_top(expr.degree, bundles.rank(expr.arg, space), g[2])
+        return _schubert_classes(schur, space, g, r + 1)[r]
+    return _product_part(_classes(expr.top, space, 1), _classes(expr.sub, space, -1), r, space)
 
 
 def total_chern(expr: BundleExpr, space: Space) -> ChowElement:
@@ -127,8 +141,13 @@ def _classes(expr: BundleExpr, space: Space, sign: int) -> tuple[ChowElement, ..
         out = [chow.unit(space), ell]
         while len(out) < n:
             out.append(out[-1] * ell)
+    elif sign < 0 and isinstance(expr, Sym) and (g := _giambelli(expr.arg, space)):
+        schur = symfunc.expand_linear_product_inverse(
+            expr.degree, bundles.rank(expr.arg, space), space.dim, g[2])
+        out = _schubert_classes(schur, space, g, n)
     elif sign < 0:
-        # Sym and quotients take the inverse series, s_k = -sum_{i>=1} c_i s_(k-i)
+        # any other Sym and quotients take the inverse series,
+        # s_k = -sum_{i>=1} c_i s_(k-i)
         cs, out = _classes(expr, space, 1), [chow.unit(space)]
         for k in range(1, n):
             out.append(chow.sum_of_products(
@@ -143,29 +162,52 @@ def _classes(expr: BundleExpr, space: Space, sign: int) -> tuple[ChowElement, ..
 
 def _sym_classes(expr: Sym, space: Space) -> tuple[ChowElement, ...]:
     r, ra = bundles.rank(expr, space), bundles.rank(expr.arg, space)
-    inner, duals = expr.arg, 0
-    while isinstance(inner, Dual):
-        inner, duals = inner.arg, duals + 1
-    if isinstance(inner, (TautSub, TautQuot)):
-        # Giambelli: s_lam(S*) = sigma_lam and s_lam(Q) = sigma_lam', and
-        # s_lam(E*) = (-1)^|lam| s_lam(E); S is the dual of S*.  A Schubert
-        # class outside the k x (n - k) box is zero, so lam_1 <= n - k for
-        # S and S*, and lam_1 <= k for Q and Q*.  A Sym of S or Q never
-        # mentions O(k), so `_classes` evaluates it on the bottom
-        # Grassmannian, and each degree is one dict of Schubert coefficients
-        transpose = isinstance(inner, TautQuot)
-        duals += not transpose
-        cols = space.rows if transpose else space.cols
-        by_weight: list[dict] = [{} for _ in range(r + 1)]
-        for lam, c in symfunc.expand_linear_product(expr.degree, ra, space.dim, cols).items():
-            w = symfunc.weight(lam)
-            by_weight[w][symfunc.conjugate(lam) if transpose else lam] = (-1) ** (duals * w) * c
-        return tuple(ChowElement(space, d) for d in by_weight)
+    g = _giambelli(expr.arg, space)
+    if g:
+        schur = symfunc.expand_linear_product(expr.degree, ra, space.dim, g[2])
+        return _schubert_classes(schur, space, g, r + 1)
     schur = _schur_classes(expr.arg, space, min(space.dim, r))
     terms: list[list] = [[] for _ in range(r + 1)]
     for lam, c in symfunc.expand_linear_product(expr.degree, ra, space.dim).items():
         terms[symfunc.weight(lam)].append((c, schur(lam), None))
     return tuple(chow.sum_of_products(space, t) for t in terms)
+
+
+def _giambelli(arg: BundleExpr, space: Space) -> tuple[bool, int, int] | None:
+    """(transpose, duals, cols) when `arg` is S, Q or a dual of either, and
+    None otherwise.
+
+    Giambelli: s_lam(S*) = sigma_lam and s_lam(Q) = sigma_lam', and
+    s_lam(E*) = (-1)^|lam| s_lam(E); S is the dual of S*.  So s_lam(arg) is
+    (-1)^(duals * |lam|) times the Schubert class of lam, or of its
+    conjugate when `transpose`, on the bottom Grassmannian.  A Schubert
+    class outside the k x (n - k) box is zero, so only lam_1 <= cols
+    counts: cols = n - k for S and S*, and k for Q and Q*.
+    """
+    duals = 0
+    while isinstance(arg, Dual):
+        arg, duals = arg.arg, duals + 1
+    if not isinstance(arg, (TautSub, TautQuot)):
+        return None
+    gr = bundles.bottom_grassmannian(space)
+    if isinstance(arg, TautQuot):
+        return True, duals, gr.rows
+    return False, duals + 1, gr.cols
+
+
+def _schubert_classes(
+    schur: dict, space: Space, g: tuple[bool, int, int], n: int
+) -> tuple[ChowElement, ...]:
+    """The classes of degree 0..n-1 of sum_lam c_lam s_lam(arg), for the
+    Schur coefficients `schur` and `g` = `_giambelli(arg, space)` on a
+    Grassmannian: each degree is one dict of Schubert coefficients, with no
+    class built per partition and no ring product."""
+    transpose, duals, _ = g
+    by_weight: list[dict] = [{} for _ in range(n)]
+    for lam, c in schur.items():
+        w = symfunc.weight(lam)
+        by_weight[w][symfunc.conjugate(lam) if transpose else lam] = (-1) ** (duals * w) * c
+    return tuple(ChowElement(space, d) for d in by_weight)
 
 
 def _schur_classes(arg: BundleExpr, space: Space, top: int):

@@ -249,11 +249,22 @@ def _accumulate(acc, c, x: ChowElement, y: ChowElement | None, top: int) -> None
             return
         product, rows, cols = symfunc.schubert_product, space.rows, space.cols
         get = acc.get
+        # a pair past the box is zero, so it is never looked up; the others
+        # are looked up heavier factor first, the order the product's cache
+        # keeps, so no pair makes a second entry
+        size = rows * cols
         for lam, a in x.data.items():
-            ca = c * a
+            ca, wl = c * a, sum(lam)
             for mu, b in y.data.items():
+                wm = sum(mu)
+                if wl + wm > size:
+                    continue
                 ab = ca * b
-                for nu, k in product(lam, mu, rows, cols):
+                if wm < wl or (wm == wl and mu <= lam):
+                    terms = product(lam, mu, rows, cols)
+                else:
+                    terms = product(mu, lam, rows, cols)
+                for nu, k in terms:
                     acc[nu] = get(nu, 0) + ab * k
         return
     base = space.base

@@ -327,3 +327,37 @@ def test_sym_classes_stop_at_the_box_only_under_giambelli(monkeypatch, space, X,
             assert calls == [], d
         assert got == expected, d
     assert seen == [cols] * 3
+
+
+GIAMBELLI_ARGS = {
+    "S": TautSub(), "S*": Dual(TautSub()), "S**": Dual(Dual(TautSub())),
+    "Q": TautQuot(), "Q*": Dual(TautQuot()), "Q**": Dual(Dual(TautQuot())),
+}
+
+
+@pytest.mark.parametrize("space", [
+    GR24, Grassmannian(2, 5), GR26, GR36, Grassmannian(3, 7), Grassmannian(3, 8),
+    Grassmannian(3, 9), CONICS,
+], ids=repr)
+def test_giambelli_sym_segre_and_euler_classes_come_off_the_root_layers(space):
+    # the Segre classes of a Sym of S, Q or a dual of either come from the
+    # layered inverse root product, the Chern classes from the box-packed
+    # one: they must be each other's inverse series, s_k = -sum c_i s_(k-i).
+    # The Euler class is the top layer alone, equal to the top Chern class,
+    # and zero when the rank exceeds the dimension
+    for name, X in GIAMBELLI_ARGS.items():
+        for d in range(7):
+            if rank(X, space) > 4 and d > 2:
+                continue  # Q of rank 5 or 6: each Sym^3 up takes 0.2 s or more
+            expr = Sym(d, X)
+            cs = chern_classes(expr, space)
+            inverse = [unit(space)]
+            for k in range(1, space.dim + 1):
+                inverse.append(zero(space))
+                for i in range(1, min(k, len(cs) - 1) + 1):
+                    inverse[k] = inverse[k] - cs[i] * inverse[k - i]
+            assert list(segre_classes(expr, space, space.dim)) == inverse, (name, d)
+            euler = euler_class(expr, space)
+            assert euler == cs[-1], (name, d)
+            if rank(expr, space) > space.dim:
+                assert euler.is_zero(), (name, d)

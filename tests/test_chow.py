@@ -144,6 +144,26 @@ def test_ring_axioms_on_random_elements():
                 assert h * part == (h * a).degree_part(d + 1), (space, d)
 
 
+def test_products_look_pairs_up_heavier_first_and_inside_the_box(monkeypatch):
+    # a pair whose weights add up past the box is zero and is never looked
+    # up, and every other pair is looked up in the order the product's cache
+    # keeps, heavier factor first, so no pair makes a second cache entry
+    rng, seen = random.Random(11), []
+
+    def recording(lam, mu, rows, cols):
+        seen.append((lam, mu, rows, cols))
+        return schubert_product(lam, mu, rows, cols)
+
+    monkeypatch.setattr(chow.symfunc, "schubert_product", recording)
+    for space in (GR36, PS):
+        for _ in range(4):
+            _random_element(space, rng) * _random_element(space, rng)
+    assert seen
+    for lam, mu, rows, cols in seen:
+        assert weight(lam) + weight(mu) <= rows * cols
+        assert (weight(lam), lam) >= (weight(mu), mu)
+
+
 def _repeated_power(x, n):
     out = unit(x.space)
     for _ in range(n):

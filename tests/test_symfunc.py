@@ -12,6 +12,8 @@ from curvecount.symfunc import (
     contains,
     elementary_symmetric,
     expand_linear_product,
+    expand_linear_product_inverse,
+    expand_linear_product_top,
     fits_box,
     partition,
     schubert_product,
@@ -291,20 +293,28 @@ def test_expand_linear_product_matches_bialternant_at_points():
                 assert rhs == lhs, (d, r, xs)
 
 
-def _reference_expand(forms, nvars, truncation):
-    # the monomial dict product, one factor at a time, and the bialternant
-    # read-off c_lam = sum_w sgn(w) [x^(lam + w - id)]
-    poly = {(0,) * nvars: 1}
-    for m in forms:
-        new = dict(poly)
-        for ex, c in poly.items():
-            if sum(ex) + 1 > truncation:
-                continue
-            for j, mj in enumerate(m):
-                if mj:
-                    ex2 = ex[:j] + (ex[j] + 1,) + ex[j + 1:]
-                    new[ex2] = new.get(ex2, 0) + c * mj
-        poly = {k: v for k, v in new.items() if v}
+def _times_form(poly, m, truncation):
+    # m.x * poly in the monomial dict, without the terms past the truncation
+    out = {}
+    for ex, c in poly.items():
+        if sum(ex) + 1 > truncation:
+            continue
+        for j, mj in enumerate(m):
+            if mj:
+                ex2 = ex[:j] + (ex[j] + 1,) + ex[j + 1:]
+                out[ex2] = out.get(ex2, 0) + c * mj
+    return out
+
+
+def _add(poly, other):
+    out = dict(poly)
+    for ex, c in other.items():
+        out[ex] = out.get(ex, 0) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def _reference_read(poly, nvars, truncation):
+    # the bialternant read-off c_lam = sum_w sgn(w) [x^(lam + w - id)]
     out = {}
     for rows in range(nvars + 1):
         for lam in _box(rows, truncation):
@@ -318,6 +328,26 @@ def _reference_expand(forms, nvars, truncation):
             if c:
                 out[lam] = c
     return out
+
+
+def _reference_expand(forms, nvars, truncation):
+    # the monomial dict product, one factor 1 + m.x at a time
+    poly = {(0,) * nvars: 1}
+    for m in forms:
+        poly = _add(poly, _times_form(poly, m, truncation))
+    return _reference_read(poly, nvars, truncation)
+
+
+def _reference_inverse(forms, nvars, truncation):
+    # the product of the geometric series 1 / (1 + m.x) = sum_k (-m.x)^k
+    poly = {(0,) * nvars: 1}
+    for m in forms:
+        term, total = poly, poly
+        for _ in range(truncation):
+            term = {ex: -c for ex, c in _times_form(term, m, truncation).items()}
+            total = _add(total, term)
+        poly = total
+    return _reference_read(poly, nvars, truncation)
 
 
 @pytest.mark.parametrize("nvars", [2, 3, 4])
@@ -358,6 +388,65 @@ def test_expand_linear_product_slots_hold_the_degree_past_the_truncation(truncat
     assert expand_linear_product(d, r, truncation) == _reference_expand(
         sym_power_roots(d, r), r, truncation
     )
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_expand_linear_product_inverse_is_the_dict_series_inside_a_box(nvars):
+    # c(Sym^d)^(-1) for d = 0..4 at every truncation up to 7, past the rank
+    # of Sym^d or not: a box width drops exactly the partitions with
+    # lam_1 > cols, and the layers stay exact inside
+    for d in range(5):
+        series = _reference_inverse(sym_power_roots(d, nvars), nvars, 7)
+        for truncation in range(8):
+            for cols in (None, 0, 1, 2, 3):
+                got = expand_linear_product_inverse(d, nvars, truncation, cols)
+                inside = {lam: c for lam, c in series.items() if weight(lam) <= truncation
+                          and (cols is None or not lam or lam[0] <= cols)}
+                assert got == inside, (d, truncation, cols)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_expand_linear_product_top_is_the_top_degree_of_the_dict_product(nvars):
+    # prod_m m.x is the degree-N part of the whole product, N the rank of
+    # Sym^d, in a box or not; Sym^0 has the one form 0.  The dict reference
+    # is kept to N <= 12 so the test stays quick
+    for d in range(4):
+        forms = sym_power_roots(d, nvars)
+        if len(forms) > 12:
+            continue
+        expected = _reference_expand(forms, nvars, len(forms))
+        for cols in (None, 0, 1, 2, 3):
+            top = {lam: c for lam, c in expected.items() if weight(lam) == len(forms) and d
+                   and (cols is None or lam[0] <= cols)}
+            assert expand_linear_product_top(d, nvars, cols) == top, (d, cols)
+
+
+@pytest.mark.parametrize("kernel, message", [
+    pytest.param(lambda: expand_linear_product_inverse(2, 15, 25),
+                 "for 26 packed layers and a mask", id="inverse"),
+    pytest.param(lambda: expand_linear_product_top(2, 15), "per packed integer", id="top"),
+])
+def test_layered_expansion_refuses_a_packed_size_beyond_memory(kernel, message):
+    # the layers of Sym^2 of a rank-15 bundle, to degree 25 for the inverse
+    # and to the rank 120 for the top: refused from their size, summed over
+    # every layer, before any layer is allocated
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match=f"120 forms in 15 roots .* bytes {message}"):
+        kernel()
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda: expand_linear_product_inverse(1, 3, 3), id="inverse"),
+    pytest.param(lambda: expand_linear_product_top(1, 3), id="top"),
+])
+def test_layered_expansion_rejects_asymmetric(monkeypatch, kernel):
+    # x_1 x_2^2 and the inverse of (1 + x_1)(1 + x_2)^2 are not symmetric,
+    # and their coefficients at x_1 x_2^2 and x_1^2 x_2 are both kept: fed
+    # those roots, which no Sym^d has, the symmetry check refuses them
+    monkeypatch.setattr(symfunc, "sym_power_roots", lambda d, r: ((1, 0, 0), (0, 1, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="not symmetric"):
+        kernel()
 
 
 def test_expand_linear_product_refuses_a_packed_size_beyond_memory():
