@@ -71,10 +71,16 @@ over one point below sum to s / V_f, s = sum_i (V_f // T_i) * value_i.  For
 integer numerators V_f divides s, since the fibre sum is the pushforward of
 an equivariant class, so `_fibre_sum` returns an integer, and a `Fraction`
 only when a p/q scalar leaves a remainder.  The tower folds from the top
-level down, and the base Grassmannian ends the fold the same way: each
-T_I = prod_{a in I, b not in I} (w_b - w_a) divides V = prod_{a<b}
-(w_b - w_a), so the total is sum_I (V // T_I) * F_I over V, where F_I is
-the numerator on a Grassmannian and the folded fibre sum on a tower.  An
+level down, and the base Grassmannian ends the fold over V = prod_{a<b}
+(w_b - w_a): the total is sum_I (V // T_I) * F_I over V, where F_I is the
+numerator on a Grassmannian and the folded fibre sum on a tower, and
+T_I = prod_{a in I, b not in I} (w_b - w_a).  V // T_I is read off
+per-coordinate products, taken once per weight vector: p_a = prod_{c != a}
+(w_c - w_a) and q_a = V // p_a.  The product of p_a over I counts each pair
+inside I twice, so T_I = (-1)^C(k,2) prod_{a in I} p_a / Delta(I)^2, with
+Delta(I) = prod_{i<j} (w_{a_j} - w_{a_i}), and at I = (a_1 < ... < a_k)
+V // T_I = (-1)^C(k,2) q_{a_1} Delta(I)^2 // prod_{j>=2} p_{a_j}, exact.  The
+sign is the same at every subset, so it is applied to the total.  An
 integer integrand thus forms one `Fraction` per weight vector, and no
 denominator is accumulated over the fixed points.
 
@@ -90,7 +96,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
-from math import prod
+from math import comb, prod
 from operator import itemgetter, mul
 
 from . import expr as ex
@@ -425,10 +431,15 @@ def _det(rows: list[list[int]]) -> int:
 def _integrate_once(space: Space, numerator, weights) -> Fraction:
     """The localized sum of a lifted numerator, one tower level at a time,
     over the base Vandermonde V; see the module notes."""
+    # built first: it refuses a repeated weight, which would make a p_a zero
+    records = fixed_points(space, weights)
     vandermonde = prod(wb - wa for wa, wb in combinations(weights, 2))
+    # p_a = prod_{c != a} (w_c - w_a) and q_a = V // p_a, once per weight vector
+    outer = [prod([wc - wa for wc in weights if wc != wa]) for wa in weights]
+    inner = [vandermonde // p for p in outer]
     total = 0
     # one group per subset
-    for subset, pts in groupby(fixed_points(space, weights), itemgetter(0)):
+    for subset, pts in groupby(records, itemgetter(0)):
         pts = list(pts)
         values = numerator(pts, weights)
         # fold the tower from the top: the r points over one point below
@@ -442,7 +453,12 @@ def _integrate_once(space: Space, numerator, weights) -> Fraction:
             pts = pts[::r]
         (above,) = values
         if above:
-            total += vandermonde // prod(tangent_weights((subset, ()), weights)) * above
+            # V // T_I up to the sign (-1)^C(k,2), applied to the total
+            first, *rest = subset
+            delta = prod([weights[b] - weights[a] for a, b in combinations(subset, 2)])
+            total += inner[first] * (delta * delta) // prod([outer[b] for b in rest]) * above
+    if comb(bottom_grassmannian(space).k, 2) % 2:
+        total = -total
     return Fraction(total, vandermonde)
 
 

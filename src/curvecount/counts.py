@@ -237,10 +237,11 @@ def integral(space: Space, integrand: ex.ExprAst, backend: str = "symbolic") -> 
 def count_curves(problem: HypersurfaceProblem, backend: str = "symbolic") -> Fraction:
     """Curves of the problem's family on a generic hypersurface, optionally
     meeting a codim-k linear subspace: the integral of `problem.integrand`,
-    which must have exactly the top degree."""
+    which must have exactly the top degree.  One below it is refused with its
+    deficit, one above it as `integral` refuses it."""
     space, integrand = problem.space, problem.integrand
     total = ex.degree(integrand, space)
-    if total != space.dim:
+    if total < space.dim:
         raise DegreeMismatchError(
             f"integrand degree {total} does not match dim {space.dim} of "
             f"{ex.format_expr(space)}; deficit {space.dim - total}"

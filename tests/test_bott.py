@@ -302,8 +302,10 @@ def test_nested_tower_engines_agree(integrand, expected):
 
 # the level-by-level sum against the literal per-point sum; the pulled-back
 # cases mix factors read once per subset with factors read at every point,
-# and the last case exceeds the dimension of Gr(2,5), so its value depends
-# on the weights
+# and the over-degree case exceeds the dimension of Gr(2,5), so its value
+# depends on the weights.  The bare Grassmannians run k = 1..5, over which
+# the sign (-1)^C(k,2) of the base fold changes, and the last case reads a
+# quotient's packed kept characters on a bare Grassmannian
 @pytest.mark.parametrize(
     "space, integrand",
     [
@@ -313,9 +315,15 @@ def test_nested_tower_engines_agree(integrand, expected):
         (CONICS, ex.parse("c(3,Q)*s[1]^11 + zeta^5*c(2,dual(S))*s[1]^7")),
         (NESTED, ex.parse("c(6,sym(2,dual(S)))*c(2,tensor(Q,o(-1)))*zeta^8")),
         (Grassmannian(2, 5), ex.Power(ex.Schubert((1,)), 7)),
+        (Grassmannian(1, 4), ex.parse("c(2,Q)*s[1]")),
+        (GR36, ex.parse("c(3,Q)*s[2,1]*s[1]^3")),
+        (Grassmannian(4, 8), ex.parse("e(sym(2,dual(S)))*c(2,Q)*s[1]^4")),
+        (Grassmannian(5, 7), ex.parse("s[2,2]*c(1,dual(S))^6")),
+        (Grassmannian(2, 5), ex.parse("e(quot(sym(2,dual(S)),triv(0)))*c(2,Q)*s[1]")),
     ],
     ids=["rational-scalar", "conic-tower", "nested-tower", "pulled-back-sum",
-         "nested-pulled-back-sym", "over-degree"],
+         "nested-pulled-back-sym", "over-degree", "gr14", "gr36", "gr48", "gr57",
+         "grassmannian-quotient"],
 )
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)

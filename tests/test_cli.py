@@ -569,6 +569,10 @@ def test_count_refusals_name_the_problem(capsys):
         "error: integrand degree 5 does not match dim 8 of "
         "pbundle(sym(2,dual(S)),gr(3,4)); deficit 3\n"
     )
+    # a condition too many leaves no deficit: the degree exceeds the dimension
+    code, _, err = _run(capsys, "count", "lines", "--ambient", "3", "--degree", "3",
+                        "--incidence", "3")
+    assert (code, err) == (3, "error: integrand degree 6 exceeds dim 4 of gr(2,4)\n")
     # the insertion is a linear subspace of P^n
     code, _, err = _run(capsys, "count", "lines", "--ambient", "5", "--degree", "6",
                         "--incidence", "6")
