@@ -5,7 +5,10 @@ points of Gr(k, n) are the k-element coordinate subsets; a projective bundle
 adds one fixed point per eigenline of the fiber at each fixed point below,
 which requires the fiber weights there to be pairwise distinct.  When they
 are not, the weight vector is inadmissible and a retry with fresh weights is
-signalled.
+signalled.  So `bott_integrate` draws its seeds after the ladder 0..n-1 from
+range(1, 4n) on a bare Grassmannian, where distinct weights suffice and small
+ones keep the Vandermonde products short, and from the wide range(1, 10**6)
+on a tower, whose fibres small weights would often make collide.
 
 A fixed point is one flat record `(subset, levels)`, built only by
 `fixed_points`.  `subset` is the k-subset of ambient coordinates; `levels`
@@ -122,6 +125,8 @@ from .symfunc import elementary_symmetric, sym_power_roots
 
 # weight vectors tried by bott_integrate before it gives up
 MAX_SEED = 64
+# exclusive bound of the wide draw, which a tower's fibres need
+WIDE_DRAW = 10**6
 
 
 class WeightCollisionError(ValueError):
@@ -132,17 +137,24 @@ class UnsupportedExpressionError(ValueError):
     """The integrand has no equivariant lift in this backend."""
 
 
-def weight_search(seed: int, n: int) -> tuple[int, ...]:
+def weight_search(seed: int, n: int, bound: int = WIDE_DRAW) -> tuple[int, ...]:
     """Deterministic candidate weight vectors: seed 0 is the ladder 0..n-1,
-    larger seeds draw distinct pseudo-random integers."""
+    larger seeds draw n distinct pseudo-random integers from range(1, bound).
+
+    Distinct weights are all a bare Grassmannian needs, so `bott_integrate`
+    passes bound 4n there; a tower also needs distinct weights in every
+    fibre, which small weights often break, so it keeps the wide default.
+    A bound that leaves fewer than n integers to draw is refused."""
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if n < 1:
         raise ValueError("need at least one weight")
+    if bound <= n:
+        raise ValueError(f"range(1, {bound}) holds fewer than {n} distinct weights")
     if seed == 0:
         return tuple(range(n))
     rng = random.Random(seed)
-    return tuple(rng.sample(range(1, 10**6), n))
+    return tuple(rng.sample(range(1, bound), n))
 
 
 def fixed_points(space: Space, weights: tuple[int, ...]) -> list:
@@ -489,7 +501,8 @@ def bott_integrate(
     raises WeightCollisionError so the caller can retry.  Without weights an
     integrand above the top degree is refused at once, one below it
     integrates to zero without a fixed point built, and otherwise the
-    seeds below MAX_SEED are walked until two admissible vectors agree;
+    `weight_search` seeds below MAX_SEED, at bound 4n on a bare Grassmannian
+    and the wide draw on a tower, are walked until two admissible vectors agree;
     disagreement means the integrand has no well-defined ordinary integral
     and is reported as unsupported.
     """
@@ -505,10 +518,13 @@ def bott_integrate(
     if top < space.dim:
         return Fraction(0)
     n = bottom_grassmannian(space).n
+    # distinct weights suffice on a bare Grassmannian; a tower's fibres need
+    # the wide draw (see the module notes)
+    bound = 4 * n if isinstance(space, Grassmannian) else WIDE_DRAW
     values = []
     for seed in range(MAX_SEED):
         try:
-            values.append(_integrate_once(space, numerator, weight_search(seed, n)))
+            values.append(_integrate_once(space, numerator, weight_search(seed, n, bound)))
         except WeightCollisionError:
             continue
         if len(values) == 2:

@@ -53,10 +53,23 @@ def test_weight_search_ladder_and_determinism():
     assert len(set(w)) == 6
     assert all(x >= 1 for x in w)
     assert weight_search(3, 6) != weight_search(4, 6)
+    # the bound is exclusive: seeds after 0 draw from 1..bound-1
+    for bound in (7, 24, 10**6):
+        for seed in (1, 2, 3):
+            w = weight_search(seed, 6, bound)
+            assert w == weight_search(seed, 6, bound)
+            assert len(set(w)) == 6 and all(1 <= x < bound for x in w)
+    # the default is the wide draw
+    assert weight_search(3, 6, 10**6) == weight_search(3, 6)
+    assert sorted(weight_search(1, 6, 7)) == [1, 2, 3, 4, 5, 6]
     with pytest.raises(ValueError):
         weight_search(-1, 3)
     with pytest.raises(ValueError):
         weight_search(0, 0)
+    # range(1, 6) holds only five weights
+    for seed in (0, 1):
+        with pytest.raises(ValueError):
+            weight_search(seed, 6, 6)
 
 
 def test_fixed_points_of_grassmannian():
@@ -121,11 +134,34 @@ def test_sigma1_power_matches_symbolic():
 def test_weight_independence_across_explicit_seeds():
     integrand = HypersurfaceProblem(4, 5, 1).integrand
     space = line_space(4)
+    # the wide draw and the small one bott_integrate takes on a Grassmannian
     values = {
-        bott_integrate(space, integrand, weights=weight_search(seed, 5))
-        for seed in (1, 2, 3)
+        bott_integrate(space, integrand, weights=weight_search(seed, 5, bound))
+        for seed in (1, 2, 3) for bound in (10**6, 4 * 5)
     }
     assert values == {Fraction(2875)}
+
+
+def test_seeds_draw_small_weights_on_a_bare_grassmannian_only(monkeypatch):
+    # distinct weights suffice on Gr(2,6), so the seed after the ladder
+    # draws from 1..4n-1; the conic tower tries exactly the wide draws
+    tried, run = [], bott._integrate_once
+
+    def recorded(space, numerator, weights):
+        tried.append(weights)
+        return run(space, numerator, weights)
+
+    monkeypatch.setattr(bott, "_integrate_once", recorded)
+    lines = HypersurfaceProblem(5, 7, 1)
+    assert bott_integrate(lines.space, lines.integrand) == 698005
+    ladder, drawn = tried
+    assert ladder == weight_search(0, 6)
+    assert len(set(drawn)) == 6 and all(1 <= w < 4 * 6 for w in drawn)
+    tried.clear()
+    conics = HypersurfaceProblem(5, 6, 2, insertion_codim=2)
+    assert conics.space == CONICS
+    assert bott_integrate(CONICS, conics.integrand) == 440884080
+    assert tried == [weight_search(seed, 6) for seed in (0, 1, 2)]
 
 
 def test_cubic_surface_lines_by_localization():

@@ -755,6 +755,20 @@ def test_selftest_reports_failing_checks(capsys, monkeypatch):
     ]
 
 
+def test_the_package_runs_as_a_module():
+    # `PYTHONPATH=src python -m curvecount ...` runs the CLI from a checkout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "curvecount", "count", "lines", "--ambient", "3",
+         "--degree", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "count: 27" in proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["ledger"], ["count", "conics", "--ambient", "4", "--degree", "5"]],
