@@ -502,9 +502,9 @@ def bott_integrate(
     integrand above the top degree is refused at once, one below it
     integrates to zero without a fixed point built, and otherwise the
     `weight_search` seeds below MAX_SEED, at bound 4n on a bare Grassmannian
-    and the wide draw on a tower, are walked until two admissible vectors agree;
-    disagreement means the integrand has no well-defined ordinary integral
-    and is reported as unsupported.
+    and the wide draw on a tower (see the module notes), are walked until two
+    admissible vectors agree; disagreement means the integrand has no
+    well-defined ordinary integral and is reported as unsupported.
     """
     _check(integrand, space)
     numerator = evaluate_at(integrand, space)
@@ -518,8 +518,6 @@ def bott_integrate(
     if top < space.dim:
         return Fraction(0)
     n = bottom_grassmannian(space).n
-    # distinct weights suffice on a bare Grassmannian; a tower's fibres need
-    # the wide draw (see the module notes)
     bound = 4 * n if isinstance(space, Grassmannian) else WIDE_DRAW
     values = []
     for seed in range(MAX_SEED):
