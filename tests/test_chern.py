@@ -181,7 +181,11 @@ def test_segre_inverts_chern_on_any_tree(expr, space):
         assume(False)
     ss = segre_classes(expr, space, space.dim)
     assert total_chern(expr, space) * sum(ss[1:], ss[0]) == unit(space)
-    assert euler_class(expr, space) == chern_classes(expr, space)[-1]
+    cs = chern_classes(expr, space)
+    assert euler_class(expr, space) == cs[-1]
+    # the pairing of two factors integrates their product
+    for i, c in enumerate(cs[:space.dim + 1]):
+        assert integrate(c, ss[space.dim - i]) == integrate(c * ss[space.dim - i])
 
 
 def test_segre_of_sub_are_single_row_classes():

@@ -366,12 +366,21 @@ def test_segre_normal_form_is_the_relations_slot_for_slot(data):
     assert _plain(chow.reduce_tower(space, slots)) == _plain(_reduce_by_hand(space, slots))
 
 
+def _elements(space):
+    if isinstance(space, Grassmannian):
+        return _gr_elements(space)
+    return _slot_lists(space, 2 * space.dim + 2).map(lambda data: ChowElement(space, data))
+
+
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_integrate_is_the_top_slot_of_the_normal_form(data):
     # slot lists of any length, past the relation and past the dimension:
-    # the Segre pushforward reads what the relation would fold down
-    space = data.draw(st.sampled_from([PS, CONICS_35, PS_S]))
-    slots = data.draw(_slot_lists(space, 2 * space.dim + 2))
-    x = ChowElement(space, slots)
+    # the Segre pushforward reads what the relation would fold down; given a
+    # second factor, possibly scaled by p/q, the pairing reads what the
+    # product's top slot would
+    space = data.draw(st.sampled_from([GR36, PS, CONICS_35, PS_S]))
+    x = data.draw(_elements(space))
     assert integrate(x) == _top_slot_by_hand(x)
+    y = data.draw(st.sampled_from([1, Fraction(-2, 3)])) * data.draw(_elements(space))
+    assert integrate(x, y) == integrate(x * y) == _top_slot_by_hand(x * y)

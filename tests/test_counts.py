@@ -6,7 +6,7 @@ import pytest
 from test_readme import library_example
 
 import curvecount
-from curvecount import bott, bundles, chern, chow, counts
+from curvecount import bott, bundles, chern, chow, counts, symfunc
 from curvecount import expr as ex
 from curvecount.bundles import Grassmannian
 from curvecount.counts import (
@@ -308,3 +308,30 @@ def test_symbolic_counts_never_apply_the_tower_relation(monkeypatch):
     assert count_conics(HypersurfaceProblem(4, 5, 2)) == 609250
     assert count_conics(HypersurfaceProblem(8, 11, 2)) == 6879170927773883986896
     assert count_conics(HypersurfaceProblem(5, 6, 2, 2)) == 440884080
+
+
+def test_symbolic_conic_count_misses_the_schubert_cache_at_most_400_times():
+    # the obstruction's Euler class is integrated by pairing and never
+    # built, so only low-degree Schubert products remain: 392 on a cold
+    # count, where building the class up to the top degree took 1911
+    symfunc.schubert_product.cache_clear()
+    assert count_conics(HypersurfaceProblem(8, 11, 2)) == 6879170927773883986896
+    assert symfunc.schubert_product.cache_info().misses <= 400
+
+
+def test_symbolic_counts_equal_the_integral_of_the_built_class():
+    # the built Euler class, the route the pairing replaces, is the
+    # reference: on every conic problem on P^3..P^6 whose integrand has the
+    # top degree, with or without an insertion, and on the plane cubics of
+    # the quintic (609250) and the sextic (2734099200)
+    problems = [HypersurfaceProblem(4, 5, 3), HypersurfaceProblem(5, 6, 3)]
+    for n in range(3, 7):
+        for degree in range(1, 3 * n):
+            for k in range(n + 1):
+                problem = HypersurfaceProblem(n, degree, 2, k)
+                if ex.degree(problem.integrand, problem.space) == problem.space.dim:
+                    problems.append(problem)
+    assert len(problems) == 12
+    for problem in problems:
+        built = chow.integrate(ex.evaluate(problem.integrand, problem.space))
+        assert count_curves(problem, "symbolic") == built, problem
