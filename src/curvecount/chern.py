@@ -15,7 +15,8 @@ s(E) = 1 / c(E) for sign = -1, with one rule per constructor:
   Segre classes the binomial has a negative top, so the twisted bundle's
   own Chern classes are never built;
 - the relative O(k) has c = 1 + l and s = sum_j (-l)^j, with l = k * zeta;
-- a quotient has c(top / sub) = c(top) s(sub), read up to its rank;
+- a quotient has c(top / sub) = c(top) s(sub), read up to its rank, and its
+  class of the top degree is its integral times `chow.point`, never built;
 - symmetric powers go through Chern roots: given the degree d and the
   rank of the argument, `symfunc.expand_linear_product` expands the
   product of the Sym^d root forms in the Schur basis as one packed integer,
@@ -46,8 +47,9 @@ product per slot.  Tower slots stay unreduced, so a power of
 l = c1(O(k)) = k * zeta is one slot shifted, and the twist's series takes no
 Schubert product.  Classes above the dimension of the space are zero: they
 are not computed, and the Chern tuple is padded with zero classes up to the
-rank.  Each class other than a Giambelli `Sym` class is built as one
-`chow.sum_of_products`, and the tower relation is never applied.  The walk
+rank.  Each class other than a Giambelli `Sym` class or a quotient's top
+degree is built as one `chow.sum_of_products`, and the tower relation is
+never applied.  The walk
 is cached per (expression, space, sign).
 """
 
@@ -266,5 +268,9 @@ def _quotient_classes(top: BundleExpr, sub: BundleExpr, space: Space) -> tuple[C
 
 
 def _product_part(xs, ys, k: int, space: Space) -> ChowElement:
-    """The degree-k class of the product of two series, sum_i x_(k-i) y_i."""
-    return chow.sum_of_products(space, ((1, xs[k - i], ys[i]) for i in range(k + 1)))
+    """The degree-k class of the product of two series, sum_i x_(k-i) y_i;
+    at the top degree, its integral by `chow.integrate` times the point."""
+    if k < space.dim:
+        return chow.sum_of_products(space, ((1, xs[k - i], ys[i]) for i in range(k + 1)))
+    c = sum(chow.integrate(xs[k - i], ys[i]) for i in range(k + 1))
+    return chow.point(space) * (c.numerator if c.denominator == 1 else c)

@@ -29,18 +29,15 @@ sums of products (`sum_of_products`) share one private multiply-accumulate:
 each product c * x * y is the slot convolution of x and y, added into
 mutable per-slot coefficient dicts at any tower depth, and no relation is
 applied.  `integrate` and `pushforward` read sum_m s_(m-r+1)(E) * a_m, so
-integration never needs the relation; over a Grassmannian the last step is
-the pairing int sigma_lam * sigma_mu = [mu = lam^vee], with no product.
-Given a second factor, `integrate(x, y)` is int x * y with x * y never formed
-up to the top degree: the pairing sum_lam x_lam * y_(lam^vee) over a
-Grassmannian, and sum_(i,j) int_base s_(i+j-r+1)(E) * x_i * y_j over P(E),
-with the two lower-degree base factors multiplied and paired with the
-third.  So the Euler class of a quotient whose rank is the dimension,
-sum_k c_(r-k)(top) * s_k(sub), is integrated term by term and never built,
-and only low-degree Schubert products remain.  A
-normal form, which `==`, `is_zero` and `repr` read through `reduce_tower`,
-comes off the same series: the pushforwards of zeta^j * x, j < r, fix its r
-slots by back-substitution, so the relation itself is never applied.
+integration never needs the relation.  `integrate(x)` and `integrate(x, y)`,
+int x * y with x * y never formed up to the top degree, are one recursion
+that pairs on the base and ends in the pairing int sigma_lam * sigma_mu =
+[mu = lam^vee] of a Grassmannian, with no product.  The top degree of every
+space is spanned by `point`, so `chern` stores a class of the top degree as
+its integral times the point class.  A normal form, which `==`, `is_zero`
+and `repr` read through `reduce_tower`, comes off the same series: the
+pushforwards of zeta^j * x, j < r, fix its r slots by back-substitution, so
+the relation itself is never applied.
 
 Coefficients are plain Python numbers: the ring arithmetic never divides, so
 they stay `int` unless a caller scales by a `Fraction`, which the numeric
@@ -362,6 +359,14 @@ def zeta(space: ProjBundle) -> ChowElement:
     return ChowElement(space, (zero(space.base), unit(space.base)))
 
 
+def point(space: Space) -> ChowElement:
+    """The class of a point, which integrates to 1: the top Schubert class
+    of the bottom Grassmannian times zeta^(r-1) on every P(E) above it."""
+    if isinstance(space, Grassmannian):
+        return ChowElement(space, {(space.cols,) * space.rows: 1})
+    return ChowElement(space, (zero(space.base),) * (space.rank - 1) + (point(space.base),))
+
+
 def pullback(space: ProjBundle, elt: ChowElement) -> ChowElement:
     """Pull a base element back to the projective bundle."""
     if not isinstance(space, ProjBundle):
@@ -385,45 +390,42 @@ def integrate(x: ChowElement, y: ChowElement | None = None) -> Fraction:
     """Degree of the top-dimensional part of x, or of x * y when `y` is
     given; lower terms contribute zero.
 
-    Over a Grassmannian base, the pushforward's products are only read at
-    the top class, so each s_k(E) * a_m is the Poincare pairing of the two.
-    A second factor is never multiplied in up to the top degree: over a
-    Grassmannian, int x * y is the pairing sum_lam x_lam * y_(lam^vee), and
-    over P(E) it is sum_(i,j) int_base s_(i+j-r+1)(E) * x_i * y_j, with the
-    two lower-degree base factors multiplied and paired with the third,
-    recursing on nested towers.  `counts.integral` integrates the Euler
-    class of a quotient whose rank is the dimension this way, as
-    sum_k int c_(r-k)(top) * s_k(sub), so that class is never built.
+    One recursion, whose last step is a Poincare pairing with no product.
+    Over a Grassmannian it reads the top coefficient of x, or pairs,
+    int x * y = sum_lam x_lam * y_(lam^vee).  Over P(E) it pairs on the base:
+    int x = sum_k int_base s_k(E) * x_(k+r-1), and int x * y =
+    sum_(i,j) int_base s_(i+j-r+1)(E) * x_i * y_j, with the two lower-degree
+    base factors multiplied and paired with the third.  A class of the top
+    degree, wherever `chern` evaluates one, is stored as its integral times
+    `point` and never built.
     """
-    space = x.space
     if y is not None:
         x._check_same_space(y)
-    if isinstance(space, Grassmannian):
+
+    def degree(z: ChowElement) -> int:  # the highest degree z stores
+        if isinstance(z.space, Grassmannian):
+            return max(map(sum, z.data), default=0)
+        return max((i + degree(s) for i, s in enumerate(z.data)), default=0)
+
+    # int x * y as a plain number, so the Fraction is made once, at the end
+    def pair(x: ChowElement, y: ChowElement | None):
+        space = x.space
+        if isinstance(space, Grassmannian):
+            if y is None:
+                return x.data.get((space.cols,) * space.rows, 0)
+            rows, cols, get = space.rows, space.cols, y.data.get
+            return sum(c * get(symfunc.box_complement(lam, rows, cols), 0)
+                       for lam, c in x.data.items())
+        r, ss = space.rank, _segre_classes(space)
         if y is None:
-            return Fraction(x.data.get((space.cols,) * space.rows, 0))
-        rows, cols, get = space.rows, space.cols, y.data.get
-        return Fraction(sum(
-            c * get(symfunc.box_complement(lam, rows, cols), 0) for lam, c in x.data.items()
-        ))
-    if y is not None:
-        r, ss, total = space.rank, _segre_classes(space), Fraction(0)
-
-        def degree(z: ChowElement) -> int:  # the highest degree z stores
-            if isinstance(z.space, Grassmannian):
-                return max(map(sum, z.data), default=0)
-            return max((i + degree(s) for i, s in enumerate(z.data)), default=0)
-
+            return sum(pair(s, a) for s, a in zip(ss, x.data[r - 1:]))
+        total = 0
         for i, a in enumerate(x.data):
             for j, b in enumerate(y.data):
                 k = i + j - r + 1
                 if 0 <= k < len(ss):
                     f, g, h = sorted((ss[k], a, b), key=degree)
-                    total += integrate(f * g, h)
+                    total += pair(f * g, h)
         return total
-    if isinstance(space.base, ProjBundle):
-        return integrate(pushforward(x))
-    rows, cols, total = space.base.rows, space.base.cols, 0
-    for s, a in zip(_segre_classes(space), x.data[space.rank - 1:]):
-        for lam, c in s.data.items():
-            total += c * a.data.get(symfunc.box_complement(lam, rows, cols), 0)
-    return Fraction(total)
+
+    return Fraction(pair(x, y))

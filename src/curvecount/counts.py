@@ -215,9 +215,10 @@ BACKENDS = ("symbolic", "bott")
 def integral(space: Space, integrand: ex.ExprAst, backend: str = "symbolic") -> Fraction:
     """The integral of `integrand` over `space` on one engine of `BACKENDS`:
     "symbolic" evaluates it in the Chow ring and reads off the top class,
-    "bott" sums it over the torus-fixed points.  The symbolic engine
-    integrates the Euler class of a quotient whose rank is the dimension
-    without building it, pairing each term of the Whitney sum instead.
+    "bott" sums it over the torus-fixed points.  Wherever the symbolic
+    engine evaluates a quotient's class of the top degree, such as the
+    Euler class of an obstruction whose rank is the dimension, it reads that
+    class as its integral times the point class and never builds it.
 
     An integrand whose degree exceeds the dimension of the space is refused
     with DegreeMismatchError before either engine runs: the symbolic engine
@@ -230,12 +231,6 @@ def integral(space: Space, integrand: ex.ExprAst, backend: str = "symbolic") -> 
             f"integrand degree {top} exceeds dim {space.dim} of {ex.format_expr(space)}"
         )
     if backend == "symbolic":
-        q = integrand.bundle if isinstance(integrand, ex.EulerClass) else None
-        if isinstance(q, WhitneyQuotient) and top == space.dim:
-            # e(q) = sum_k c_(top-k)(q.top) s_k(q.sub) for a quotient of rank
-            # dim, each product paired by chow.integrate, so e(q) is never built
-            cs, ss = chern.chern_classes(q.top, space), chern.segre_classes(q.sub, space, top)
-            return sum(chow.integrate(cs[top - k], ss[k]) for k in range(top + 1))
         return chow.integrate(ex.evaluate(integrand, space))
     if backend == "bott":
         return bott.bott_integrate(space, integrand)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, isqrt, prod
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .bott import weight_search
 
@@ -134,14 +134,6 @@ MAX_TABLE_DEGREE = 10**12
 MAX_COVER_DEGREE = 5
 
 
-class FixedTree(NamedTuple):
-    """A labelled torus-fixed tree: colors[v] is the target fixed point (0 or
-    1) of vertex v, and edges are (vertex, vertex, cover degree)."""
-
-    colors: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-
 def _pruefer_trees(nverts: int):
     """The nverts^(nverts-2) labelled trees on range(nverts), each as its
     (child, parent) edges in Pruefer decoding order, rooted at nverts - 1."""
@@ -165,8 +157,10 @@ def _compositions(d: int, parts: int):
         yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, d)))
 
 
-def fixed_trees(d: int) -> Iterator[FixedTree]:
-    """Labelled torus-fixed loci of degree-d genus-zero maps to the line.
+def fixed_trees(d: int) -> Iterator[tuple]:
+    """Labelled torus-fixed loci of degree-d genus-zero maps to the line, as
+    (colors, edges) pairs: colors[v] is the target fixed point (0 or 1) of
+    vertex v, and edges are (vertex, vertex, cover degree).
 
     Every tree on V = 2..d+1 vertices appears with both colorings, which
     give adjacent vertices opposite colors, and with every split of d into
@@ -186,11 +180,11 @@ def fixed_trees(d: int) -> Iterator[FixedTree]:
                 colors[child] = 1 - colors[parent]
             for degrees in _compositions(d, nverts - 1):
                 edges = tuple((u, v, de) for (u, v), de in zip(links, degrees))
-                yield FixedTree(tuple(colors), edges)
-                yield FixedTree(tuple(1 - c for c in colors), edges)
+                yield tuple(colors), edges
+                yield tuple(1 - c for c in colors), edges
 
 
-def _graph_contribution(tree: FixedTree, lam: tuple[int, int]) -> Fraction:
+def _graph_contribution(tree: tuple, lam: tuple[int, int]) -> Fraction:
     """Contribution of one labelled fixed tree, weighted 1/V!.
 
     Every factor is an integer ratio; the Fraction is formed once, at the end.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from test_cli import bundle_nodes, space_nodes
 
-from curvecount import chern
+from curvecount import chern, chow
 from curvecount.bundles import (
     Dual,
     Grassmannian,
@@ -217,12 +217,28 @@ def test_euler_class_of_cubic_surface_bundle():
         (WhitneyQuotient(Sym(2, Dual(TautSub())), TautSub()), CONICS),
         # rank 20 above dim 14
         (WhitneyQuotient(Sym(5, Dual(TautSub())), RelO(-1)), CONICS),
+        # rank equal to the dimension, so chern reads the class off its
+        # integral: the quintic's conic obstruction (609250) on a tower ...
+        (WhitneyQuotient(Sym(5, Dual(TautSub())), TensorLine(Sym(3, Dual(TautSub())), RelO(-1))),
+         ProjBundle(Grassmannian(3, 5), Sym(2, Dual(TautSub())))),
+        # ... on a Grassmannian (27) ...
+        (WhitneyQuotient(Sym(3, Dual(TautSub())), Trivial(0)), GR24),
+        # ... and on a nested tower (276)
+        (WhitneyQuotient(TensorLine(Sym(3, Dual(TautQuot())), RelO(2)), Trivial(0)),
+         ProjBundle(ProjBundle(Grassmannian(1, 3), TautSub()), Sym(2, TautQuot()))),
     ],
     ids=["sym-by-trivial", "virtual", "above-dim", "sextic-obstruction", "pulled-back",
-         "tower-above-dim"],
+         "tower-above-dim", "top-rank-tower", "top-rank-grassmannian", "top-rank-nested"],
 )
 def test_euler_class_of_a_quotient_is_its_top_chern_class(bundle, space):
-    assert euler_class(bundle, space) == chern_classes(bundle, space)[-1]
+    # the reference is built here, sum_i c_(r-i)(top) s_i(sub), as one sum of
+    # products that chern never reads off an integral
+    r = rank(bundle, space)
+    cs, ss = chern_classes(bundle.top, space), segre_classes(bundle.sub, space, r)
+    built = chow.sum_of_products(space, ((1, cs[r - i], ss[i]) for i in range(r + 1)))
+    e = euler_class(bundle, space)
+    assert e == chern_classes(bundle, space)[-1] == built
+    assert repr(e) == repr(built)
 
 
 def test_chern_classes_pull_back_through_towers():
